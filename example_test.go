@@ -35,16 +35,6 @@ func ExampleCheckSchedule() {
 	// Output: <nil>
 }
 
-// A doubly-nested loop executed as a twisted recursion (§7.2): automatic
-// multi-level tiling with no cache parameters.
-func ExampleNewLoopNest() {
-	ln, _ := twist.NewLoopNest(4, 4, 1)
-	var sum int
-	ln.Run(func(o, i int) { sum += o * i }, twist.Twisted())
-	fmt.Println(sum)
-	// Output: 36
-}
-
 // Classifying a program's dependence structure (§3.3): per-column state
 // makes the outer recursion parallel, so the transformations are sound.
 func ExampleAnalyzeDependences() {

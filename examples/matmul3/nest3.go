@@ -1,23 +1,20 @@
-// Package nest3 prototypes the generalization the paper names as future
-// work in §7.2: "generalize recursion twisting to more than two levels of
-// recursion, to allow it to handle algorithms like matrix-matrix
-// multiplication."
-//
-// A triply-nested recursion — recursion A calling recursion B calling
-// recursion C — defines a three-dimensional recursive iteration space
-// A × B × C. The Original schedule is the template order (lexicographic in
-// the three preorders). The Twisted schedule generalizes the pairwise size
-// rule of Fig 4(a): whenever the outer role descends, roles are re-sorted so
-// the *largest* remaining subtree is traversed outermost; the inner two
-// dimensions are scheduled by ordinary two-level twisting. Each step shrinks
-// the largest extent of the current sub-space, so working sets halve
-// recursively in all three dimensions — the same parameterless multi-level
-// blocking cache-oblivious matrix multiplication achieves.
+package main
+
+// The three-level engine. A triply-nested recursion — recursion A calling
+// recursion B calling recursion C — defines a three-dimensional recursive
+// iteration space A × B × C. The Original schedule is the template order
+// (lexicographic in the three preorders). The Twisted schedule generalizes
+// the pairwise size rule of Fig 4(a): whenever the outer role descends,
+// roles are re-sorted so the *largest* remaining subtree is traversed
+// outermost; the inner two dimensions are scheduled by ordinary two-level
+// twisting. Each step shrinks the largest extent of the current sub-space,
+// so working sets halve recursively in all three dimensions — the same
+// parameterless multi-level blocking cache-oblivious matrix multiplication
+// achieves.
 //
 // Scope: regular (untruncated) spaces whose iterations are independent or
 // commutative — the loop-nest codes §7.2 targets. Irregular truncation in
 // three dimensions is future work beyond even the paper's.
-package nest3
 
 import (
 	"errors"

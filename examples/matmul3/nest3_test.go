@@ -1,4 +1,4 @@
-package nest3
+package main
 
 import (
 	"reflect"
@@ -132,28 +132,9 @@ func TestTwistedImprovesInnerDimensionLocality(t *testing.T) {
 // application. Integer matrices make every schedule bit-identical.
 func TestMatMul3Correct(t *testing.T) {
 	const n = 12
-	topoOf := func() (*tree.Topology, []int32) {
-		b := tree.NewBuilder(2*n - 1)
-		var idx []int32
-		var build func(lo, hi int32) tree.NodeID
-		build = func(lo, hi int32) tree.NodeID {
-			id := b.Add()
-			if hi-lo == 1 {
-				idx = append(idx, lo)
-				return id
-			}
-			idx = append(idx, -1)
-			mid := lo + (hi-lo)/2
-			b.SetLeft(id, build(lo, mid))
-			b.SetRight(id, build(mid, hi))
-			return id
-		}
-		root := build(0, n)
-		return b.MustBuild(root), idx
-	}
-	ti, ii := topoOf()
-	tj, ij := topoOf()
-	tk, ik := topoOf()
+	ti, ii := rangeTree(n)
+	tj, ij := rangeTree(n)
+	tk, ik := rangeTree(n)
 
 	var m1, m2 [n][n]int64
 	for x := 0; x < n; x++ {

@@ -1,8 +1,9 @@
 // Package doclint is a test-only lint: it fails the build's test step when a
 // package loses its godoc package comment, when one of the contract-bearing
-// packages (obs, nest, memsim, sched) exports an undocumented identifier, or
-// when an internal package is missing from the DESIGN.md §2 system
-// inventory. CI runs it as the doc-comment gate next to go vet.
+// packages (obs, nest, memsim, sched) exports an undocumented identifier,
+// when an internal package and the DESIGN.md §2 system inventory disagree,
+// or when a test measures allocations while running in parallel. CI runs it
+// as the doc-comment gate next to go vet.
 package doclint
 
 import (
@@ -12,6 +13,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -49,25 +51,12 @@ func repoRoot(t *testing.T) string {
 func TestEveryPackageHasDocComment(t *testing.T) {
 	root := repoRoot(t)
 	dirs := map[string][]string{} // dir -> non-test .go files
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+	walkGoFiles(t, root, func(path string) {
+		if !strings.HasSuffix(path, "_test.go") {
 			dir := filepath.Dir(path)
 			dirs[dir] = append(dirs[dir], path)
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for dir, files := range dirs {
 		rel, _ := filepath.Rel(root, dir)
 		documented := false
@@ -92,7 +81,8 @@ func TestEveryPackageHasDocComment(t *testing.T) {
 // "## 2." and "## 3." headings must mention the package's module-relative
 // import path. The inventory is the map readers navigate the repo by; a
 // package absent from it is a subsystem the documentation does not admit
-// exists.
+// exists. In the reverse direction, every internal path the section names
+// must exist, so a row cannot outlive its package.
 func TestEveryInternalPackageIsInventoried(t *testing.T) {
 	root := repoRoot(t)
 	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
@@ -121,6 +111,83 @@ func TestEveryInternalPackageIsInventoried(t *testing.T) {
 			t.Errorf("%s has no row in the DESIGN.md §2 system inventory", pkg)
 		}
 	}
+	for _, path := range regexp.MustCompile(`internal/[\w./-]*\w`).FindAllString(section, -1) {
+		if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(path))); err != nil {
+			t.Errorf("the DESIGN.md §2 system inventory names %s, which does not exist", path)
+		}
+	}
+}
+
+// TestNoAllocsPerRunInParallelTests fails on any test function, closures
+// included, that calls both t.Parallel() and testing.AllocsPerRun.
+// AllocsPerRun counts the mallocs of the whole process, so every test that
+// runs alongside a parallel one adds to its count and the assertion flakes.
+func TestNoAllocsPerRunInParallelTests(t *testing.T) {
+	root := repoRoot(t)
+	walkGoFiles(t, root, func(path string) {
+		if !strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n.(type) {
+			case *ast.FuncDecl, *ast.FuncLit:
+				// A function's own check covers the closures inside it.
+				if callsSelector(n, "", "Parallel") && callsSelector(n, "testing", "AllocsPerRun") {
+					pos := fset.Position(n.Pos())
+					pos.Filename, _ = filepath.Rel(root, pos.Filename)
+					t.Errorf("%s: function calls both t.Parallel() and testing.AllocsPerRun; measure allocations in a test that is not parallel", pos)
+				}
+				return false
+			}
+			return true
+		})
+	})
+}
+
+// walkGoFiles calls fn on every .go file under root, skipping testdata and
+// dot directories.
+func walkGoFiles(t *testing.T, root string, fn func(path string)) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") {
+			fn(path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// callsSelector reports whether n contains a call recv.name(...), with any
+// receiver when recv is empty.
+func callsSelector(n ast.Node, recv, name string) bool {
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == name {
+				if id, ok := sel.X.(*ast.Ident); recv == "" || ok && id.Name == recv {
+					found = true
+				}
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // TestStrictPackagesDocumentExports requires a doc comment on every exported

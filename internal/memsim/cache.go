@@ -116,12 +116,10 @@ type Hierarchy struct {
 	levels []*level
 }
 
-// NewHierarchy builds a hierarchy from the given level configs, ordered from
-// closest (L1) to farthest (LLC).
-//
-// Deprecated: construct simulators through New(Config{Levels: cfgs}); this
-// remains as the sequential engine behind it and for existing callers.
-func NewHierarchy(cfgs ...CacheConfig) (*Hierarchy, error) {
+// newHierarchy builds a hierarchy from the given level configs, ordered from
+// closest (L1) to farthest (LLC): the sequential engine behind New, and the
+// per-shard engine behind NewSharded.
+func newHierarchy(cfgs ...CacheConfig) (*Hierarchy, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("memsim: hierarchy needs at least one level")
 	}
@@ -139,31 +137,11 @@ func NewHierarchy(cfgs ...CacheConfig) (*Hierarchy, error) {
 	return h, nil
 }
 
-// MustNewHierarchy is NewHierarchy that panics on error.
-//
-// Deprecated: use MustNew(Config{Levels: cfgs}) instead.
-func MustNewHierarchy(cfgs ...CacheConfig) *Hierarchy {
-	h, err := NewHierarchy(cfgs...)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
-// Default returns the scaled three-level hierarchy used throughout the
+// DefaultLevels returns the scaled three-level hierarchy used throughout the
 // evaluation: 32K/8-way L1 and 256K/8-way L2 matching the paper's Xeon, and
 // a 2M/16-way LLC scaled down from the paper's 20M so that the paper's
 // "working set exceeds the LLC" regime is reached at laptop-scale inputs
 // (the substitution documented in DESIGN.md §1).
-//
-// Deprecated: use MustNew(Config{Levels: DefaultLevels()}) — or pass
-// SimWorkers for the parallel engine over the same geometry.
-func Default() *Hierarchy {
-	return MustNewHierarchy(DefaultLevels()...)
-}
-
-// DefaultLevels returns the scaled three-level geometry behind Default, in
-// Config form.
 func DefaultLevels() []CacheConfig {
 	return []CacheConfig{
 		{Name: "L1", SizeBytes: 32 << 10, LineBytes: 64, Ways: 8},

@@ -8,13 +8,11 @@ import (
 	"twist/internal/obs"
 )
 
-// The unified construction path. Earlier revisions grew four entry points —
-// NewHierarchy, MustNewHierarchy, Default, and NewStream(h, batch) — with
-// the parallel simulator about to add more. New(Config) replaces them: one
-// config, one constructor, one Simulator interface that both the sequential
-// Hierarchy and the set-partitioned ShardedHierarchy satisfy, so every
-// consumer (experiments, workloads, nestbench) is written against the
-// interface and picks sequential or parallel simulation with a single field.
+// The construction path: one config, one constructor, one Simulator
+// interface that both the sequential Hierarchy and the set-partitioned
+// ShardedHierarchy satisfy, so every consumer (experiments, workloads,
+// nestbench) is written against the interface and picks sequential or
+// parallel simulation with a single field.
 
 // Config describes a simulator: the cache levels (closest first) and how to
 // run them.
@@ -68,7 +66,7 @@ func New(cfg Config) (Simulator, error) {
 	if cfg.SimWorkers > 1 {
 		return NewSharded(cfg.Levels, cfg.SimWorkers, cfg.Batch)
 	}
-	return NewHierarchy(cfg.Levels...)
+	return newHierarchy(cfg.Levels...)
 }
 
 // MustNew is New that panics on error, for geometries known valid at
@@ -132,7 +130,7 @@ func ParseGeometry(s string) ([]CacheConfig, error) {
 	}
 	// Borrow the hierarchy constructor's validation so a parsed geometry is
 	// always buildable.
-	if _, err := NewHierarchy(cfgs...); err != nil {
+	if _, err := newHierarchy(cfgs...); err != nil {
 		return nil, err
 	}
 	return cfgs, nil

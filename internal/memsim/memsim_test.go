@@ -140,8 +140,17 @@ func tiny(ways, lines int) CacheConfig {
 	return CacheConfig{Name: "T", SizeBytes: lines * 64, LineBytes: 64, Ways: ways}
 }
 
+// mustHierarchy builds a sequential hierarchy for a geometry known valid.
+func mustHierarchy(cfgs ...CacheConfig) *Hierarchy {
+	h, err := newHierarchy(cfgs...)
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
 func TestCacheHitOnRepeat(t *testing.T) {
-	h := MustNewHierarchy(tiny(2, 4))
+	h := mustHierarchy(tiny(2, 4))
 	h.Access(0)
 	h.Access(0)
 	s := h.Stats()[0]
@@ -154,7 +163,7 @@ func TestCacheHitOnRepeat(t *testing.T) {
 }
 
 func TestCacheSameLineDifferentBytes(t *testing.T) {
-	h := MustNewHierarchy(tiny(2, 4))
+	h := mustHierarchy(tiny(2, 4))
 	h.Access(0)
 	h.Access(63) // same 64B line
 	h.Access(64) // next line
@@ -169,7 +178,7 @@ func TestCacheSameLineDifferentBytes(t *testing.T) {
 // sequence check.
 func TestCacheLRUWithinSet(t *testing.T) {
 	// 2 ways, 2 sets; lines 0,2,4 all map to set 0 (line index mod 2).
-	h := MustNewHierarchy(tiny(2, 4))
+	h := mustHierarchy(tiny(2, 4))
 	a, b, c := Addr(0), Addr(2*64), Addr(4*64)
 	h.Access(a) // miss, set0: [a]
 	h.Access(b) // miss, set0: [b,a]
@@ -184,7 +193,7 @@ func TestCacheLRUWithinSet(t *testing.T) {
 }
 
 func TestWorkingSetFitsLevel(t *testing.T) {
-	h := MustNewHierarchy(
+	h := mustHierarchy(
 		CacheConfig{Name: "L1", SizeBytes: 1 << 10, LineBytes: 64, Ways: 4},
 		CacheConfig{Name: "L2", SizeBytes: 8 << 10, LineBytes: 64, Ways: 8},
 	)
@@ -207,7 +216,7 @@ func TestWorkingSetFitsLevel(t *testing.T) {
 }
 
 func TestHierarchyDescendsOnMiss(t *testing.T) {
-	h := MustNewHierarchy(tiny(2, 4), tiny(4, 16))
+	h := mustHierarchy(tiny(2, 4), tiny(4, 16))
 	h.Access(0)
 	st := h.Stats()
 	if st[0].Accesses != 1 || st[1].Accesses != 1 {
@@ -221,7 +230,7 @@ func TestHierarchyDescendsOnMiss(t *testing.T) {
 }
 
 func TestHierarchyReset(t *testing.T) {
-	h := MustNewHierarchy(tiny(2, 4))
+	h := mustHierarchy(tiny(2, 4))
 	h.Access(0)
 	h.Reset()
 	st := h.Stats()[0]
@@ -242,20 +251,20 @@ func TestConfigValidation(t *testing.T) {
 		{Name: "sets", SizeBytes: 3 * 64, LineBytes: 64, Ways: 1},
 	}
 	for _, c := range bad {
-		if _, err := NewHierarchy(c); err == nil {
+		if _, err := newHierarchy(c); err == nil {
 			t.Fatalf("config %q accepted", c.Name)
 		}
 	}
-	if _, err := NewHierarchy(); err == nil {
+	if _, err := newHierarchy(); err == nil {
 		t.Fatal("empty hierarchy accepted")
 	}
-	if _, err := NewHierarchy(tiny(2, 4), CacheConfig{Name: "L2", SizeBytes: 4096, LineBytes: 128, Ways: 2}); err == nil {
+	if _, err := newHierarchy(tiny(2, 4), CacheConfig{Name: "L2", SizeBytes: 4096, LineBytes: 128, Ways: 2}); err == nil {
 		t.Fatal("mixed line sizes accepted")
 	}
 }
 
 func TestDefaultHierarchyGeometry(t *testing.T) {
-	h := Default()
+	h := mustHierarchy(DefaultLevels()...)
 	st := h.Stats()
 	if len(st) != 3 || st[0].Name != "L1" || st[2].Name != "L3" {
 		t.Fatalf("default levels = %+v", st)
@@ -290,7 +299,7 @@ func TestRemapper(t *testing.T) {
 // lines) is >= capacity. We emulate full associativity with a 1-set config.
 func TestCacheAgreesWithStackDistance(t *testing.T) {
 	const ways = 8
-	h := MustNewHierarchy(CacheConfig{Name: "FA", SizeBytes: ways * 64, LineBytes: 64, Ways: ways})
+	h := mustHierarchy(CacheConfig{Name: "FA", SizeBytes: ways * 64, LineBytes: 64, Ways: ways})
 	r := NewReuseAnalyzer()
 	rng := rand.New(rand.NewSource(9))
 	var wantMisses int64
@@ -323,7 +332,7 @@ func BenchmarkReuseAnalyzer(b *testing.B) {
 }
 
 func BenchmarkHierarchyAccess(b *testing.B) {
-	h := Default()
+	h := mustHierarchy(DefaultLevels()...)
 	rng := rand.New(rand.NewSource(1))
 	trace := make([]Addr, 1<<16)
 	for k := range trace {

@@ -50,7 +50,7 @@ func TestMissCurveMonotone(t *testing.T) {
 // exactly for a fully-associative LRU cache (single set).
 func TestPredictionMatchesSimulatorExactly(t *testing.T) {
 	for _, ways := range []int{4, 16, 64} {
-		h := MustNewHierarchy(CacheConfig{Name: "FA", SizeBytes: ways * 64, LineBytes: 64, Ways: ways})
+		h := mustHierarchy(CacheConfig{Name: "FA", SizeBytes: ways * 64, LineBytes: 64, Ways: ways})
 		hist := NewHistogram()
 		ra := NewReuseAnalyzer()
 		rng := rand.New(rand.NewSource(int64(ways)))
@@ -73,7 +73,7 @@ func TestPredictEmptyHistogram(t *testing.T) {
 }
 
 func TestResetStatsKeepsContents(t *testing.T) {
-	h := MustNewHierarchy(CacheConfig{Name: "T", SizeBytes: 4 * 64, LineBytes: 64, Ways: 2})
+	h := mustHierarchy(CacheConfig{Name: "T", SizeBytes: 4 * 64, LineBytes: 64, Ways: 2})
 	h.Access(0)
 	h.Access(64)
 	h.ResetStats()

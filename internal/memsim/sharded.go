@@ -75,7 +75,7 @@ func NewSharded(cfgs []CacheConfig, workers, batch int) (*ShardedHierarchy, erro
 	}
 	// Validate once up front (and compute the routing mask) before building
 	// any per-shard state.
-	probe, err := NewHierarchy(cfgs...)
+	probe, err := newHierarchy(cfgs...)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +97,7 @@ func NewSharded(cfgs []CacheConfig, workers, batch int) (*ShardedHierarchy, erro
 		stage:     make([][]Addr, workers),
 	}
 	for k := range s.shards {
-		h, err := NewHierarchy(cfgs...)
+		h, err := newHierarchy(cfgs...)
 		if err != nil {
 			return nil, err
 		}

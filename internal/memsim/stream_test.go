@@ -8,7 +8,7 @@ import (
 )
 
 func smallHierarchy() *Hierarchy {
-	return MustNewHierarchy(
+	return mustHierarchy(
 		CacheConfig{Name: "L1", SizeBytes: 1 << 10, LineBytes: 64, Ways: 2},
 		CacheConfig{Name: "L2", SizeBytes: 8 << 10, LineBytes: 64, Ways: 4},
 	)
@@ -119,9 +119,9 @@ func (m recorderMap) Count(name string, delta int64) { m[name] += delta }
 func (m recorderMap) Time(string, time.Duration)     {}
 
 // The streaming pipeline's point: emitting a long trace allocates nothing
-// after setup — memory stays O(cache geometry + batch), not O(trace).
+// after setup — memory stays O(cache geometry + batch), not O(trace). Not
+// parallel: AllocsPerRun counts the mallocs of every running goroutine.
 func TestStreamEmitDoesNotAllocate(t *testing.T) {
-	t.Parallel()
 	h := smallHierarchy()
 	st := NewStream(h, 0)
 	sk := st.Sink()

@@ -10,7 +10,7 @@ import (
 // direct-mapped two-set cache: installs into empty ways are misses but not
 // evictions; replacing a resident line is both.
 func TestEvictionCounting(t *testing.T) {
-	h := MustNewHierarchy(CacheConfig{Name: "L1", SizeBytes: 128, LineBytes: 64, Ways: 1})
+	h := mustHierarchy(CacheConfig{Name: "L1", SizeBytes: 128, LineBytes: 64, Ways: 1})
 	line := func(k int) Addr { return Addr(k * 64) }
 
 	h.Access(line(0)) // cold install, set 0
@@ -44,7 +44,7 @@ func TestEvictionCounting(t *testing.T) {
 }
 
 func TestHierarchyAndStreamPublish(t *testing.T) {
-	h := MustNewHierarchy(
+	h := mustHierarchy(
 		CacheConfig{Name: "L1", SizeBytes: 128, LineBytes: 64, Ways: 1},
 		CacheConfig{Name: "L2", SizeBytes: 256, LineBytes: 64, Ways: 1},
 	)

@@ -128,24 +128,18 @@ type RunResult struct {
 	EngineOps int64
 }
 
-// RunWith executes the computation under cfg, replacing the positional
-// RunParallel API. The outer tree is split into tasks down to
-// cfg.SpawnDepth — each split node contributes its column as one task, each
-// depth-SpawnDepth subtree runs cfg.Variant whole — and the tasks execute on
-// cfg.Workers workers, either from a static queue or with work stealing.
-// Per-worker Stats are accumulated locally, with no shared state on the hot
-// path, and merged once at the end.
+// RunWith executes the computation under cfg. The outer tree is split into
+// tasks down to cfg.SpawnDepth — each split node contributes its column as
+// one task, each depth-SpawnDepth subtree runs cfg.Variant whole — and the
+// tasks execute on cfg.Workers workers, either from a static queue or with
+// work stealing. Per-worker Stats are accumulated locally, with no shared
+// state on the hot path, and merged once at the end.
 //
 // Soundness requires the §3.3 criterion (outer recursions independent), and
 // Spec.Work plus the truncation predicates must be safe to call from
 // concurrent goroutines for distinct outer nodes; iterations of one column
 // never run concurrently. Use cfg.ForTask to shard mutable workload state
 // per task.
-//
-// Deprecated: new call sites should go through twist.Run with WithWorkers
-// (which builds the RunConfig and calls this method). RunWith remains as
-// the facade's parallel building block and for the engine-infrastructure
-// packages; depcheck.ScanExecRuns enforces the boundary.
 func (e *Exec) RunWith(cfg RunConfig) (RunResult, error) {
 	workers := cfg.Workers
 	if workers <= 0 {

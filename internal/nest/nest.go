@@ -55,7 +55,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
 	"twist/internal/tree"
@@ -237,12 +236,6 @@ func (e *Exec) Spec() Spec { return e.spec }
 
 // Run executes the computation under the given schedule variant, starting
 // from the roots of the two trees, and leaves operation counts in e.Stats.
-//
-// Deprecated: new call sites should go through the unified facade
-// entrypoint, twist.Run (Run(v) is twist.Run(e, WithVariant(v))). The
-// method remains as the facade's sequential building block and for the
-// engine-infrastructure packages; depcheck.ScanExecRuns enforces the
-// boundary.
 func (e *Exec) Run(v Variant) {
 	e.RunFrom(v, e.spec.Outer.Root(), e.spec.Inner.Root())
 }
@@ -251,9 +244,6 @@ func (e *Exec) Run(v Variant) {
 // outer-subtree granularity (see canceled), and on cancellation the run
 // unwinds early, leaving the partial operation counts in e.Stats and
 // returning ctx.Err(). A nil ctx behaves exactly like Run.
-//
-// Deprecated: new call sites should go through twist.Run with WithContext;
-// see Run.
 func (e *Exec) RunContext(ctx context.Context, v Variant) error {
 	e.ctx = ctx
 	defer func() { e.ctx = nil }()
@@ -265,9 +255,6 @@ func (e *Exec) RunContext(ctx context.Context, v Variant) error {
 // and inner node i. It is the building block of the §7.3 parallel execution
 // (twisting applied to an already-spawned task) and of region-restricted
 // reruns; most callers want Run.
-//
-// Deprecated: new call sites outside the executors and the oracle should go
-// through twist.Run; see Run.
 func (e *Exec) RunFrom(v Variant, o, i tree.NodeID) {
 	e.Stats = Stats{}
 	e.prepare()
@@ -276,8 +263,8 @@ func (e *Exec) RunFrom(v Variant, o, i tree.NodeID) {
 
 // prepare sizes and clears the truncation-flag state (and resets the
 // cancellation latch) without running. Callers that drive the recursion
-// functions directly — the parallel executors, the sequential prefix of
-// RunParallel — invoke it once before their first descent.
+// functions directly — the parallel executors — invoke it once before their
+// first descent.
 func (e *Exec) prepare() {
 	e.ctxErr = nil
 	e.ctxPoll = 0
@@ -590,8 +577,8 @@ func TwistedCutoff(cutoff int) Variant {
 	return Variant{Kind: KindTwistedCutoff, Cutoff: int32(cutoff)}
 }
 
-// String implements fmt.Stringer. The output round-trips through
-// ParseVariant.
+// String implements fmt.Stringer. The output is a valid schedule
+// expression: algebra.ParseSchedule parses it back to this variant.
 func (v Variant) String() string {
 	switch v.Kind {
 	case KindOriginal:
@@ -604,45 +591,4 @@ func (v Variant) String() string {
 		return fmt.Sprintf("twisted-cutoff:%d", v.Cutoff)
 	}
 	return "unknown"
-}
-
-// ParseVariant parses a schedule name as printed by Variant.String — one of
-// "original", "interchanged", "twisted", "twisted-cutoff" (cutoff 0, i.e.
-// plain twisting with the §7.1 guard site), or "twisted-cutoff:N" for an
-// explicit cutoff.
-//
-// Deprecated: the variant names are the four canonical points of the
-// schedule algebra; parse schedule expressions (a superset of these names)
-// with internal/transform/algebra.ParseSchedule and lower with
-// Schedule.Variant. ParseVariant remains as the algebra's legacy-name
-// backend and for external callers.
-func ParseVariant(s string) (Variant, error) {
-	name, arg, hasArg := strings.Cut(strings.TrimSpace(s), ":")
-	switch name {
-	case "original":
-		if hasArg {
-			return Variant{}, fmt.Errorf("nest: schedule %q takes no argument", s)
-		}
-		return Original(), nil
-	case "interchanged", "interchange":
-		if hasArg {
-			return Variant{}, fmt.Errorf("nest: schedule %q takes no argument", s)
-		}
-		return Interchanged(), nil
-	case "twisted":
-		if hasArg {
-			return Variant{}, fmt.Errorf("nest: schedule %q takes no argument (use twisted-cutoff:N)", s)
-		}
-		return Twisted(), nil
-	case "twisted-cutoff":
-		if !hasArg {
-			return TwistedCutoff(0), nil
-		}
-		c, err := strconv.Atoi(arg)
-		if err != nil || c < 0 || c > math.MaxInt32 {
-			return Variant{}, fmt.Errorf("nest: bad cutoff %q in schedule %q", arg, s)
-		}
-		return TwistedCutoff(c), nil
-	}
-	return Variant{}, fmt.Errorf("nest: unknown schedule %q (want original, interchanged, twisted, or twisted-cutoff[:N])", s)
 }

@@ -593,29 +593,6 @@ func TestVariantStrings(t *testing.T) {
 	}
 }
 
-func TestParseVariant(t *testing.T) {
-	for _, v := range []Variant{Original(), Interchanged(), Twisted(), TwistedCutoff(0), TwistedCutoff(64)} {
-		got, err := ParseVariant(v.String())
-		if err != nil {
-			t.Fatalf("ParseVariant(%q): %v", v.String(), err)
-		}
-		if got != v {
-			t.Fatalf("ParseVariant(%q) = %v, want %v", v.String(), got, v)
-		}
-	}
-	if v, err := ParseVariant("twisted-cutoff"); err != nil || v != TwistedCutoff(0) {
-		t.Fatalf("bare twisted-cutoff: %v, %v", v, err)
-	}
-	if v, err := ParseVariant("interchange"); err != nil || v != Interchanged() {
-		t.Fatalf("interchange alias: %v, %v", v, err)
-	}
-	for _, bad := range []string{"", "zigzag", "twisted:4", "twisted-cutoff:x", "twisted-cutoff:-1", "original:0"} {
-		if _, err := ParseVariant(bad); err == nil {
-			t.Fatalf("ParseVariant(%q) accepted", bad)
-		}
-	}
-}
-
 func TestStatsOpsAndOverhead(t *testing.T) {
 	base := Stats{InnerCalls: 100, Iterations: 100}
 	more := Stats{InnerCalls: 150, Iterations: 150}

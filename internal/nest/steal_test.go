@@ -9,8 +9,9 @@ import (
 	"twist/internal/tree"
 )
 
-// runWithPairs executes RunWith collecting iterations thread-safely.
-func runWithPairs(t *testing.T, s Spec, cfg RunConfig) ([]pair, RunResult) {
+// runWithPairs executes RunWith under flag mode fm, collecting iterations
+// thread-safely.
+func runWithPairs(t *testing.T, s Spec, fm FlagMode, cfg RunConfig) ([]pair, RunResult) {
 	t.Helper()
 	var mu sync.Mutex
 	var got []pair
@@ -19,7 +20,9 @@ func runWithPairs(t *testing.T, s Spec, cfg RunConfig) ([]pair, RunResult) {
 		got = append(got, pair{o, i})
 		mu.Unlock()
 	}
-	res, err := MustNew(s).RunWith(cfg)
+	e := MustNew(s)
+	e.Flags = fm
+	res, err := e.RunWith(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,6 +35,7 @@ func stealSpecs(t *testing.T) map[string]Spec {
 	return map[string]Spec{
 		"regular":   regularSpec(outer, inner),
 		"irregular": irregularSpec(outer, inner, 21, true, 0.6),
+		"general":   irregularSpec(outer, inner, 5, false, 0.8),
 	}
 }
 
@@ -44,12 +48,12 @@ func TestStealingMergeMatchesSequentialAggregate(t *testing.T) {
 	for name, s := range stealSpecs(t) {
 		for _, v := range []Variant{Original(), Interchanged(), Twisted(), TwistedCutoff(8)} {
 			wantPairs := pairSet(runPairs(t, s, Original(), nil))
-			seqPairs, seq := runWithPairs(t, s, RunConfig{Variant: v, Workers: 1, Stealing: true})
+			seqPairs, seq := runWithPairs(t, s, FlagCounter, RunConfig{Variant: v, Workers: 1, Stealing: true})
 			if !reflect.DeepEqual(pairSet(seqPairs), wantPairs) {
 				t.Fatalf("%s/%v: 1-worker stealing iteration set differs from sequential", name, v)
 			}
 			for _, workers := range []int{2, 3, 8} {
-				gotPairs, got := runWithPairs(t, s, RunConfig{Variant: v, Workers: workers, Stealing: true})
+				gotPairs, got := runWithPairs(t, s, FlagCounter, RunConfig{Variant: v, Workers: workers, Stealing: true})
 				if !reflect.DeepEqual(pairSet(gotPairs), wantPairs) {
 					t.Fatalf("%s/%v/w=%d: stolen iteration set differs", name, v, workers)
 				}
@@ -70,21 +74,30 @@ func TestStealingMergeMatchesSequentialAggregate(t *testing.T) {
 }
 
 // Static and stealing executors run the identical task decomposition, so
-// their merged Stats agree exactly, at every spawn depth.
+// their merged Stats agree exactly, at every spawn depth — including one
+// beyond the tree height, where no subtree task is left — and under both
+// flag modes, since each task's Exec inherits the parent's; both execute
+// exactly the sequential iteration set.
 func TestStaticAndStealingAgree(t *testing.T) {
 	t.Parallel()
 	for name, s := range stealSpecs(t) {
-		for _, depth := range []int{1, 3, DefaultSpawnDepth, 30} {
-			_, static := runWithPairs(t, s, RunConfig{Variant: Twisted(), Workers: 4, SpawnDepth: depth})
-			_, steal := runWithPairs(t, s, RunConfig{Variant: Twisted(), Workers: 4, SpawnDepth: depth, Stealing: true})
-			if static.Stats != steal.Stats {
-				t.Fatalf("%s depth=%d: executors disagree:\nstatic %v\n steal %v", name, depth, static.Stats, steal.Stats)
-			}
-			if static.Tasks != steal.Tasks {
-				t.Fatalf("%s depth=%d: task counts differ: %d vs %d", name, depth, static.Tasks, steal.Tasks)
-			}
-			if static.Steals != 0 {
-				t.Fatalf("static executor reported %d steals", static.Steals)
+		want := pairSet(runPairs(t, s, Original(), nil))
+		for _, fm := range []FlagMode{FlagSets, FlagCounter} {
+			for _, depth := range []int{1, 3, DefaultSpawnDepth, 30} {
+				staticPairs, static := runWithPairs(t, s, fm, RunConfig{Variant: Twisted(), Workers: 4, SpawnDepth: depth})
+				stealPairs, steal := runWithPairs(t, s, fm, RunConfig{Variant: Twisted(), Workers: 4, SpawnDepth: depth, Stealing: true})
+				if !reflect.DeepEqual(pairSet(staticPairs), want) || !reflect.DeepEqual(pairSet(stealPairs), want) {
+					t.Fatalf("%s/%v depth=%d: parallel iteration set differs from sequential", name, fm, depth)
+				}
+				if static.Stats != steal.Stats {
+					t.Fatalf("%s/%v depth=%d: executors disagree:\nstatic %v\n steal %v", name, fm, depth, static.Stats, steal.Stats)
+				}
+				if static.Tasks != steal.Tasks {
+					t.Fatalf("%s/%v depth=%d: task counts differ: %d vs %d", name, fm, depth, static.Tasks, steal.Tasks)
+				}
+				if static.Steals != 0 {
+					t.Fatalf("static executor reported %d steals", static.Steals)
+				}
 			}
 		}
 	}

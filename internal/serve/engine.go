@@ -504,8 +504,8 @@ func specEngine(name string) (nest.Engine, error) {
 }
 
 // parseVariantExpr resolves a normalized spec's schedule expression onto
-// its engine variant through the algebra (every legacy variant name is a
-// schedule expression, so this subsumes nest.ParseVariant).
+// its engine variant through the algebra (every variant name is a schedule
+// expression).
 func parseVariantExpr(expr string) (nest.Variant, error) {
 	s, err := algebra.ParseSchedule(expr)
 	if err != nil {

@@ -118,8 +118,9 @@ func Digest(s Spec) string {
 type RunSpec struct {
 	// Workload is the benchmark abbreviation (TJ, MM, PC, NN, KNN, VP).
 	Workload string `json:"workload"`
-	// Variant is the schedule in legacy nest.ParseVariant form (original,
-	// interchanged, twisted, twisted-cutoff:N). Default twisted.
+	// Variant is the schedule as a variant name, the nest.Variant.String
+	// form (original, interchanged, twisted, twisted-cutoff:N). Default
+	// twisted.
 	Variant string `json:"variant,omitempty"`
 	// Schedule is the schedule as an algebra expression
 	// (algebra.ParseSchedule, e.g. "stripmine(64)∘twist(flagged)"). It is
@@ -204,8 +205,8 @@ func (s *RunSpec) Normalize() error {
 type MissCurveSpec struct {
 	// Workload is the benchmark abbreviation (TJ, MM, PC, NN, KNN, VP).
 	Workload string `json:"workload"`
-	// Variant is the schedule in legacy nest.ParseVariant form. Default
-	// twisted.
+	// Variant is the schedule as a variant name (nest.Variant.String form).
+	// Default twisted.
 	Variant string `json:"variant,omitempty"`
 	// Schedule is the schedule as an algebra expression; see
 	// RunSpec.Schedule. Mutually exclusive with Variant.
@@ -274,8 +275,8 @@ type TransformSpec struct {
 	// //twist:inner annotated pair (internal/transform).
 	Source string `json:"source"`
 	// Variants selects the schedule families to emit. Entries are schedule
-	// expressions (algebra.ParseSchedule), which subsumes the legacy
-	// nest.ParseVariant names; empty means every family. The identity
+	// expressions (algebra.ParseSchedule), which include the variant
+	// names; empty means every family. The identity
 	// schedule is rejected — the input template already is it.
 	Variants []string `json:"variants,omitempty"`
 	// Schedules are additional schedule expressions to emit. Inline-free
@@ -350,8 +351,8 @@ type OracleSpec struct {
 	Scale int `json:"scale,omitempty"`
 	// Seed is the workload seed.
 	Seed int64 `json:"seed,omitempty"`
-	// Variant is the schedule under test, in legacy nest.ParseVariant form.
-	// Default twisted.
+	// Variant is the schedule under test as a variant name
+	// (nest.Variant.String form). Default twisted.
 	Variant string `json:"variant,omitempty"`
 	// Schedule is the schedule under test as an algebra expression; see
 	// RunSpec.Schedule. Mutually exclusive with Variant.

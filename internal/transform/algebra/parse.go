@@ -18,8 +18,8 @@ import (
 //
 // The four legacy variant names — original, interchanged (or interchange),
 // twisted, twisted-cutoff[:N] — are accepted as terms and denote their
-// canonical schedules (see FromVariant), so every nest.ParseVariant input is
-// also a valid schedule expression. The result is canonical:
+// canonical schedules (see FromVariant), so every nest.Variant.String output
+// is also a valid schedule expression. The result is canonical:
 // ParseSchedule(s.String()) == s for every schedule s, and whitespace around
 // terms is ignored.
 func ParseSchedule(src string) (Schedule, error) {

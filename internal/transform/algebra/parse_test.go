@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -137,9 +138,10 @@ func TestQuickOperatorEquivalence(t *testing.T) {
 }
 
 // parseLegacyTerm owns the colon-argument variant spellings, so this test
-// pins its grammar to the engine's: every nest.Variant prints to a term that
-// parses back to FromVariant's canonical schedule, and the argument errors
-// the engine parser rejects stay rejected here.
+// pins the variant-name grammar: every nest.Variant prints to a term that
+// parses back to FromVariant's canonical schedule and lowers back to the
+// variant, the aliases resolve, and malformed or out-of-range arguments are
+// rejected.
 func TestLegacyTermsMatchVariantGrammar(t *testing.T) {
 	t.Parallel()
 	variants := []nest.Variant{
@@ -163,7 +165,32 @@ func TestLegacyTermsMatchVariantGrammar(t *testing.T) {
 			t.Errorf("ParseSchedule(%q) = %v, want %v", v.String(), got, want)
 		}
 	}
-	for _, src := range []string{"twisted:3", "twisted-cutoff:x", "twisted-cutoff:-1"} {
+	// Every representable variant round-trips through its name, not just
+	// the fixed cases above. Non-cutoff kinds carry Cutoff 0 by
+	// construction, which is what makes the representation canonical.
+	roundTrip := func(kind uint8, cutoff uint32) bool {
+		v := nest.Variant{Kind: nest.VariantKind(kind % 4)}
+		if v.Kind == nest.KindTwistedCutoff {
+			v.Cutoff = int32(cutoff % math.MaxInt32)
+		}
+		s, err := ParseSchedule(v.String())
+		return err == nil && s.Variant() == v
+	}
+	if err := quick.Check(roundTrip, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	for src, want := range map[string]nest.Variant{
+		"interchange":    nest.Interchanged(),
+		"twisted-cutoff": nest.TwistedCutoff(0),
+	} {
+		if s, err := ParseSchedule(src); err != nil || s.Variant() != want {
+			t.Errorf("ParseSchedule(%q) = %v, %v; want %v", src, s, err, want)
+		}
+	}
+	for _, src := range []string{
+		"twisted:3", "twisted-cutoff:x", "twisted-cutoff:-1",
+		"original:1", "twisted-cutoff:2147483648",
+	} {
 		if _, err := ParseSchedule(src); err == nil {
 			t.Errorf("ParseSchedule(%q) unexpectedly succeeded", src)
 		}

@@ -1,12 +1,11 @@
 package twist
 
-// This file is the unified run surface of the API redesign: one entrypoint,
-// Run, with functional options, replacing direct calls to the Exec methods
-// Run, RunContext, RunFrom, and RunWith (which remain for compatibility —
-// depcheck's ScanExecRuns keeps new call sites off them). Sequential and
-// parallel execution, schedule selection, the visit-engine axis (DESIGN.md
-// §4.13), carried measurement dimensions (layout, simulation workers), and
-// telemetry all route through the same call.
+// This file is the unified run surface: one entrypoint, Run, with
+// functional options. Sequential and parallel execution, schedule
+// selection, the visit-engine axis (DESIGN.md §4.13), carried measurement
+// dimensions (layout, simulation workers), and telemetry all route through
+// the same call, which builds on the Exec methods Run, RunContext, and
+// RunWith.
 
 import (
 	"context"
@@ -199,9 +198,9 @@ func MustParseSchedule(expr string) Schedule {
 	return s
 }
 
-// runSequential is Run's single-goroutine path: the exact behavior of the
-// legacy Exec.RunContext (bit-identical Stats — no task decomposition, so
-// flag state spans the whole space), wrapped in the RunResult shape and the
+// runSequential is Run's single-goroutine path: the exact behavior of
+// Exec.RunContext (bit-identical Stats — no task decomposition, so flag
+// state spans the whole space), wrapped in the RunResult shape and the
 // telemetry contract of the parallel executor so callers see one uniform
 // surface.
 func runSequential(exec *Exec, cfg nest.RunConfig) (RunResult, error) {

@@ -43,7 +43,6 @@ package twist
 import (
 	"twist/internal/depcheck"
 	"twist/internal/layout"
-	"twist/internal/loopnest"
 	"twist/internal/nest"
 	"twist/internal/sched"
 	"twist/internal/transform/algebra"
@@ -103,13 +102,6 @@ const (
 // general form.
 type Variant = nest.Variant
 
-// ParseVariant parses a Variant from its String form: "original",
-// "interchanged" (or "interchange"), "twisted", "twisted-cutoff[:N]".
-//
-// Deprecated: use ParseSchedule, which accepts every variant name plus the
-// full schedule-expression grammar, and lower with Schedule.Variant.
-func ParseVariant(name string) (Variant, error) { return nest.ParseVariant(name) }
-
 // Schedule is a normalized composition of schedule transformations — code
 // motion (twisting), interchange, strip mining, and inlining — the general
 // form of the four Variant constructors. Every composition normalizes to
@@ -121,7 +113,8 @@ type Schedule = algebra.Schedule
 
 // ParseSchedule parses a schedule expression — terms joined by ∘ (or the
 // ASCII "."), e.g. "stripmine(64)∘twist(flagged)" or "inline(2)∘twisted".
-// Every ParseVariant name is a valid expression, and
+// Every Variant name ("original", "interchanged" or "interchange",
+// "twisted", "twisted-cutoff[:N]") is a valid expression, and
 // ParseSchedule(s.String()) == s for every schedule s.
 func ParseSchedule(expr string) (Schedule, error) { return algebra.ParseSchedule(expr) }
 
@@ -163,24 +156,6 @@ type RunResult = nest.RunResult
 // stop splitting; see nest.DefaultSpawnDepth for why it is a constant.
 const DefaultSpawnDepth = nest.DefaultSpawnDepth
 
-// RunParallel executes the computation with the task-parallel decomposition
-// of paper §7.3: one task per outer subtree at spawnDepth (shallower columns
-// run sequentially first), each task running variant v — typically
-// Twisted(), applied only after enough parallelism has been generated, as
-// the paper prescribes. Work and the truncation predicates must be safe to
-// call concurrently for distinct outer subtrees. At most workers tasks run
-// at once (0 = unbounded). Per-task statistics are returned in spawn order.
-//
-// Deprecated: use Exec.RunWith with a RunConfig, which runs the same
-// decomposition on the work-stealing executor, merges Stats
-// deterministically, and supports cancellation:
-//
-//	exec := twist.MustNew(spec)
-//	res, err := exec.RunWith(twist.RunConfig{Variant: v, Workers: workers, Stealing: true})
-func RunParallel(s Spec, v Variant, spawnDepth, workers int) ([]Stats, error) {
-	return nest.RunParallel(s, v, spawnDepth, workers, nil)
-}
-
 // Pair is one iteration of the space: an outer and an inner tree node.
 type Pair = sched.Pair
 
@@ -206,15 +181,6 @@ func CheckSchedule(reference, got []Pair) error { return sched.Check(reference, 
 func CheckShardedSchedule(reference []Pair, shards [][]Pair) error {
 	return sched.CheckSharded(reference, shards)
 }
-
-// LoopNest recasts a doubly-nested for loop as a nested recursive iteration
-// space (the §7.2 front-end), so Twisted() acts as automatic, parameterless
-// multi-level loop tiling.
-type LoopNest = loopnest.Nest
-
-// NewLoopNest builds the recursive decomposition of an n×m loop nest with
-// the given grain size (indices per recursion leaf; 1 decomposes fully).
-func NewLoopNest(n, m, leafRun int) (*LoopNest, error) { return loopnest.New(n, m, leafRun) }
 
 // LayoutKind names an arena layout pass: a storage-order factorization of a
 // tree's node records that leaves every traversal's visit sequence — and

@@ -1,7 +1,6 @@
 package twist_test
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"twist"
@@ -98,21 +97,6 @@ func TestFacadeBuilder(t *testing.T) {
 	}
 }
 
-func TestFacadeLoopNest(t *testing.T) {
-	ln, err := twist.NewLoopNest(6, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var count int
-	ln.Run(func(o, i int) { count++ }, twist.Twisted())
-	if count != 24 {
-		t.Fatalf("loop nest executed %d iterations", count)
-	}
-	if _, err := twist.NewLoopNest(0, 4, 1); err == nil {
-		t.Fatal("invalid bounds accepted")
-	}
-}
-
 func TestFacadeDependenceAnalysis(t *testing.T) {
 	s := twist.Spec{
 		Outer: twist.NewBalancedTree(7),
@@ -136,25 +120,6 @@ func TestFacadeDependenceAnalysis(t *testing.T) {
 	}
 	if res.Kind != twist.CrossColumn || res.Sound() {
 		t.Fatalf("shared write classified %v", res.Kind)
-	}
-}
-
-func TestFacadeRunParallel(t *testing.T) {
-	var n atomic.Int64
-	s := twist.Spec{
-		Outer: twist.NewBalancedTree(31),
-		Inner: twist.NewBalancedTree(31),
-		Work:  func(o, i twist.NodeID) { n.Add(1) },
-	}
-	stats, err := twist.RunParallel(s, twist.Twisted(), 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Load() != 31*31 {
-		t.Fatalf("parallel run performed %d work", n.Load())
-	}
-	if len(stats) < 2 {
-		t.Fatalf("%d task stats", len(stats))
 	}
 }
 
