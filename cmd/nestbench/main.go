@@ -70,7 +70,6 @@ type opts struct {
 	variant    nest.Variant
 	raw        string // -variant as typed, for params
 	layout     layout.Kind
-	engine     nest.Engine
 }
 
 // experiment is one registered harness. run prints the human-readable table
@@ -96,9 +95,8 @@ var registry = []experiment{
 	{"ablation", "ablation: flag modes / subtree truncation / node stride (DESIGN.md §4.5)", "-pcn -radius -seed -repeats -geometry", true, ablation},
 	{"kary", "kary: octree (8-ary) point correlation extension (§2.1 generality)", "-pcn -seed -geometry", true, kary},
 	{"layout", "layout: arena layout × schedule miss rates (DESIGN.md §4.12)", "-scale -seed -simworkers -geometry", true, layoutExp},
-	{"wallclock", "wallclock: iterative vs recursive visit engine (DESIGN.md §4.13)", "-scale -seed -repeats", true, wallclock},
 	{"iters", "iters: §4.2 iteration counts, PC", "-pcn -radius -seed", true, iters},
-	{"bench", "bench: suite under one schedule", "-scale -seed -repeats -workers -variant -layout -engine", false, bench},
+	{"bench", "bench: suite under one schedule", "-scale -seed -repeats -workers -variant -layout", false, bench},
 	{"oracle", "oracle: semantic-equivalence smoke (DESIGN.md §4.9)", "-scale -seed -workers", false, oracleSmoke},
 	{"schedules", "schedules: algebra enumeration, legality × oracle", "-scale -seed", false, schedulesExp},
 }
@@ -120,8 +118,6 @@ func usage(fs *flag.FlagSet, w io.Writer) {
 			note = "-workers >= 1 times all schedules under the work-stealing executor"
 		case "layout":
 			note = "the \"wins\" row is the CI-gated acceptance signal (DESIGN.md §4.12)"
-		case "wallclock":
-			note = "the engine-ops reduction is the CI-gated acceptance signal (DESIGN.md §4.13); walls are noisy"
 		case "bench":
 			note = "not part of -exp all"
 		case "oracle":
@@ -148,7 +144,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("nestbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp        = fs.String("exp", "all", "experiment: fig5, fig7, fig8a, fig8b, fig9, fig10, iters, ablation, kary, layout, wallclock, inventory, bench, all")
+		exp        = fs.String("exp", "all", "experiment: fig5, fig7, fig8a, fig8b, fig9, fig10, iters, ablation, kary, layout, inventory, bench, all")
 		scale      = fs.Int("scale", 16384, "suite scale for fig7/fig8a/fig8b/bench (points per dual-tree benchmark)")
 		n          = fs.Int("n", 1024, "tree size for fig5")
 		pcN        = fs.Int("pcn", 8192, "PC input size for fig10/ablation/kary/iters")
@@ -161,7 +157,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		variant    = fs.String("variant", "twisted", "schedule for -exp bench, legacy variant form (original, interchanged, twisted, twisted-cutoff[:N]); alias for -schedule")
 		schedule   = fs.String("schedule", "", "schedule for -exp bench as an algebra expression, e.g. \"stripmine(64)\u2218twist(flagged)\" (mutually exclusive with -variant)")
 		layoutF    = fs.String("layout", "", "arena layout for -exp bench: buildorder, hotcold, preorder, schedule, veb (empty = legacy build-order)")
-		engineF    = fs.String("engine", "", "visit engine for -exp bench: recursive or iterative (empty = recursive; bit-identical stats either way, DESIGN.md §4.13)")
 		oracleRun  = fs.Bool("oracle", false, "shorthand for -exp oracle: semantic-equivalence smoke over the suite")
 		jsonOut    = fs.String("json", "", "write BENCH_<exp>.json report(s): a file path for one experiment, a directory when several run")
 		baseline   = fs.String("baseline", "", "compare a single experiment's fresh run against this committed BENCH_<exp>.json")
@@ -226,12 +221,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usageFail("%v", err)
 	}
-	eng := nest.EngineRecursive
-	if *engineF != "" {
-		if eng, err = nest.ParseEngine(*engineF); err != nil {
-			return usageFail("%v", err)
-		}
-	}
 	if *geometry != "" {
 		levels, err := memsim.ParseGeometry(*geometry)
 		if err != nil {
@@ -242,7 +231,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	o := opts{
 		scale: *scale, scaleSet: scaleSet, n: *n, pcN: *pcN, radius: *radius,
 		seed: *seed, repeats: *repeats, workers: *workers, simWorkers: *simWorkers,
-		variant: v, raw: expr, layout: lk, engine: eng,
+		variant: v, raw: expr, layout: lk,
 	}
 
 	var selected []experiment
@@ -398,8 +387,6 @@ func params(o opts, keys ...string) map[string]string {
 			out[k] = o.variant.String()
 		case "layout":
 			out[k] = o.layout.String()
-		case "engine":
-			out[k] = o.engine.String()
 		default:
 			panic("nestbench: unknown param " + k)
 		}
@@ -483,7 +470,7 @@ func bench(o opts) (*obs.Report, error) {
 	if repeats < 1 {
 		repeats = 1
 	}
-	rep := obs.NewReport("bench", params(o, "scale", "seed", "repeats", "workers", "variant", "layout", "engine"))
+	rep := obs.NewReport("bench", params(o, "scale", "seed", "repeats", "workers", "variant", "layout"))
 	w := table()
 	fmt.Fprintln(w, "bench\tschedule\twall\titerations\twork\tchecksum")
 	for _, in := range workloads.Suite(o.scale, o.seed) {
@@ -508,7 +495,7 @@ func bench(o opts) (*obs.Report, error) {
 		for k := 0; k < repeats; k++ {
 			start := time.Now()
 			if o.workers >= 1 {
-				res, err := run.RunWith(nest.RunConfig{Variant: o.variant, Engine: o.engine, Workers: o.workers, Stealing: true, Layout: cfgLayout})
+				res, err := run.RunWith(nest.RunConfig{Variant: o.variant, Workers: o.workers, Layout: cfgLayout})
 				if err != nil {
 					return nil, err
 				}
@@ -519,16 +506,13 @@ func bench(o opts) (*obs.Report, error) {
 				mode = fmt.Sprintf("w=%d", o.workers)
 			} else {
 				var err error
-				if st, _, err = run.RunSeq(nil, o.variant, func(e *nest.Exec) { e.Engine = o.engine }); err != nil {
+				if st, _, err = run.RunSeq(nil, o.variant, nil); err != nil {
 					return nil, err
 				}
 			}
 			if wall := time.Since(start); k == 0 || wall < best {
 				best = wall
 			}
-		}
-		if o.engine != nest.EngineRecursive {
-			mode += "/" + o.engine.String()
 		}
 		fmt.Fprintf(w, "%s\t%v (%s)\t%v\t%d\t%d\t%#x\n",
 			in.Name, o.variant, mode, best, st.Iterations, st.Work, in.Checksum())
@@ -680,8 +664,8 @@ func ablation(o opts) (*obs.Report, error) {
 }
 
 // oracleSmoke runs the internal/oracle differential suite over the six
-// workloads: every engine variant (both flag modes) and a grid of parallel
-// schedules (workers × executors) must be permutation-equivalent to the
+// workloads: every engine variant (both flag modes) and the parallel
+// executor at a grid of worker counts must be permutation-equivalent to the
 // captured golden trace (DESIGN.md §4.9). The first failing verdict aborts
 // the run with its minimized counterexample (exit 1) — the CI-facing smoke
 // complement to the exhaustive go test suite.
@@ -717,17 +701,14 @@ func oracleSmoke(o opts) (*obs.Report, error) {
 			}
 		}
 		for _, workers := range workerGrid {
-			for _, stealing := range []bool{false, true} {
-				cfg := nest.RunConfig{Variant: nest.Twisted(), Workers: workers, Stealing: stealing}
-				verdict, err := g.CheckParallel(spec, cfg)
-				if err != nil {
-					return nil, fmt.Errorf("%s: %v", in.Name, err)
-				}
-				if !verdict.OK {
-					return nil, fmt.Errorf("%s: %v", in.Name, verdict.Err())
-				}
-				checks++
+			verdict, err := g.CheckParallel(spec, nest.RunConfig{Variant: nest.Twisted(), Workers: workers})
+			if err != nil {
+				return nil, fmt.Errorf("%s: %v", in.Name, err)
 			}
+			if !verdict.OK {
+				return nil, fmt.Errorf("%s: %v", in.Name, verdict.Err())
+			}
+			checks++
 		}
 		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%#016x\t%d ok\n",
 			in.Name, g.Visits(), len(g.Truncs), g.Columns(), g.Digest(), checks)
@@ -805,36 +786,6 @@ func layoutExp(o opts) (*obs.Report, error) {
 	wins := experiments.LayoutWins(rows)
 	fmt.Fprintf(w, "\nreordering wins\t%d benchmarks beat buildorder\n", wins)
 	rep.AddRow("wins").DetInt("benchmarks", int64(wins))
-	return rep, w.Flush()
-}
-
-// wallclock compares the two visit engines on the twisted schedule across
-// the suite (DESIGN.md §4.13). The deterministic signals — per-benchmark
-// engine-ops counters, their reduction, and the checksums — are what the
-// committed BENCH_wallclock.json pins (CI additionally asserts the reduction
-// stays >= 30%); both wall clocks and their speedup ride along as noisy
-// corroboration.
-func wallclock(o opts) (*obs.Report, error) {
-	rows, err := experiments.Wallclock(o.scale, o.seed, o.repeats)
-	if err != nil {
-		return nil, err
-	}
-	rep := obs.NewReport("wallclock", params(o, "scale", "seed", "repeats"))
-	w := table()
-	fmt.Fprintln(w, "bench\trecursive ops\titerative ops\treduction\trecursive wall\titerative wall\tspeedup")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%d\t-%.1f%%\t%v\t%v\t%.2fx\n",
-			r.Bench, r.RecursiveOps, r.IterativeOps, r.ReductionPct,
-			r.RecursiveWall, r.IterativeWall, r.WallSpeedup)
-		rep.AddRow(r.Bench).
-			DetInt("recursive_ops", r.RecursiveOps).
-			DetInt("iterative_ops", r.IterativeOps).
-			DetFloat("reduction_pct", r.ReductionPct).
-			DetUint("checksum", r.Checksum).
-			NoisySeconds("recursive_wall", r.RecursiveWall).
-			NoisySeconds("iterative_wall", r.IterativeWall).
-			NoisyVal("wall_speedup", r.WallSpeedup)
-	}
 	return rep, w.Flush()
 }
 

@@ -7,10 +7,14 @@ package main
 // the pairwise size rule of Fig 4(a): whenever the outer role descends,
 // roles are re-sorted so the *largest* remaining subtree is traversed
 // outermost; the inner two dimensions are scheduled by ordinary two-level
-// twisting. Each step shrinks the largest extent of the current sub-space,
-// so working sets halve recursively in all three dimensions — the same
-// parameterless multi-level blocking cache-oblivious matrix multiplication
-// achieves.
+// twisting.
+//
+// This is a locality trade, not cache-oblivious blocking at every level: on
+// the 128×128 product of main.go (simulated 32 KiB L1, 256 KiB L2),
+// twisting cuts L1 misses from 2,118,688 to 38,400 but raises L2 misses
+// from 6,144 to 7,837. The original order already sits at the L2 compulsory
+// floor of 3×2048 lines: each row of C needs one row of A and all of B,
+// 130 KiB in all, which stays resident in L2.
 //
 // Scope: regular (untruncated) spaces whose iterations are independent or
 // commutative — the loop-nest codes §7.2 targets. Irregular truncation in

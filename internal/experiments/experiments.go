@@ -118,28 +118,16 @@ func timeBest(repeats int, f func()) time.Duration {
 	return best
 }
 
-// runWall times variant v of instance in on the default recursive engine and
-// returns (duration, checksum).
+// runWall times variant v of instance in and returns (duration, checksum).
 func runWall(in *workloads.Instance, v nest.Variant, repeats int) (time.Duration, uint64) {
-	d, sum, _ := runWallOn(in, v, nest.EngineRecursive, repeats)
-	return d, sum
-}
-
-// runWallOn times variant v of instance in on the given visit engine and
-// returns (duration, checksum, engine ops). The engine-ops counter is
-// deterministic; the duration is the noisy signal.
-func runWallOn(in *workloads.Instance, v nest.Variant, eng nest.Engine, repeats int) (time.Duration, uint64, int64) {
 	var sum uint64
-	var ops int64
 	d := timeBest(repeats, func() {
-		_, engOps, err := in.RunSeq(nil, v, func(e *nest.Exec) { e.Engine = eng })
-		if err != nil {
+		if _, _, err := in.RunSeq(nil, v, nil); err != nil {
 			panic(err) // unreachable: a nil ctx never cancels
 		}
-		ops = engOps
 		sum = in.Checksum()
 	})
-	return d, sum, ops
+	return d, sum
 }
 
 // missRates runs a traced execution of variant v through a fresh simulated
@@ -198,7 +186,6 @@ func missRatesWith(in *workloads.Instance, v nest.Variant, workers, simWorkers i
 		_, err := e.RunWith(nest.RunConfig{
 			Variant:    v,
 			Workers:    workers,
-			Stealing:   true,
 			SimWorkers: simWorkers,
 			Recorder:   rec,
 			ForTask:    in.ForTask,
@@ -397,7 +384,7 @@ func parWall(in *workloads.Instance, workers int, want uint64, repeats int) (tim
 	var res nest.RunResult
 	var err error
 	d := timeBest(repeats, func() {
-		res, err = in.RunWith(nest.RunConfig{Variant: nest.Twisted(), Workers: workers, Stealing: true, Recorder: rec})
+		res, err = in.RunWith(nest.RunConfig{Variant: nest.Twisted(), Workers: workers, Recorder: rec})
 	})
 	if err != nil {
 		return 0, nest.Stats{}, err
@@ -596,7 +583,7 @@ func wallOf(in *workloads.Instance, v nest.Variant, repeats, workers int) (time.
 		if err != nil {
 			return
 		}
-		_, err = in.RunWith(nest.RunConfig{Variant: v, Workers: workers, Stealing: true, Recorder: rec})
+		_, err = in.RunWith(nest.RunConfig{Variant: v, Workers: workers, Recorder: rec})
 	})
 	if err != nil {
 		return 0, 0, err

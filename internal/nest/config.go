@@ -5,35 +5,31 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"twist/internal/obs"
 	"twist/internal/tree"
 )
 
-// DefaultSpawnDepth is the outer-tree depth at which the parallel executors
-// stop splitting and hand whole subtrees to the schedule variant. It is a
+// DefaultSpawnDepth is the outer-tree depth at which the parallel executor
+// stops splitting and hands whole subtrees to the schedule variant. It is a
 // constant — deliberately independent of the worker count — so that the task
 // decomposition, and therefore the merged Stats, are byte-identical across
-// every worker count and both executors. At depth 6 a complete outer tree
-// yields 64 subtree tasks plus 63 split columns: enough slack for stealing
-// to balance irregular truncation without drowning in task overhead.
+// every worker count. At depth 6 a complete outer tree yields 64 subtree
+// tasks plus 63 split columns: enough slack for stealing to balance
+// irregular truncation without drowning in task overhead.
 const DefaultSpawnDepth = 6
 
 // RunConfig configures a parallel run. The zero value (plus a Variant) is a
-// sensible default: GOMAXPROCS workers, DefaultSpawnDepth, static
-// decomposition, no cancellation.
+// sensible default: GOMAXPROCS workers, DefaultSpawnDepth, work stealing, no
+// cancellation.
 type RunConfig struct {
 	// Variant is the schedule each task runs on its subtree (typically
 	// Twisted; the paper's §7.3 "parallelize above, twist below").
 	Variant Variant
 
-	// Engine selects the visit-engine implementation every worker uses
-	// (recursive or iterative; see Engine). The two engines produce
-	// bit-identical merged Stats — the axis only moves the engine-overhead
-	// counter reported in RunResult.EngineOps and the "nest.engine.ops"
-	// telemetry. Default EngineRecursive.
+	// Engine is a visit-engine label (see Engine) and selects nothing:
+	// every worker runs the recursive engine. The oracle's parallel verdict
+	// label (oracle.Trace.CheckParallel) prints a non-default one.
 	Engine Engine
 
 	// Workers is the number of worker goroutines; <= 0 means GOMAXPROCS.
@@ -45,10 +41,10 @@ type RunConfig struct {
 	// what makes merged Stats reproducible across worker counts.
 	SpawnDepth int
 
-	// Stealing selects the work-stealing executor (per-worker deques, LIFO
-	// owner pop, FIFO half-steals) instead of the static task queue. The
-	// two produce identical merged Stats; stealing keeps workers busy on
-	// irregular, truncation-heavy spaces where static tasks are lopsided.
+	// Stealing is an executor label and selects nothing: RunWith always
+	// runs the work-stealing executor (steal.go). It stays because the
+	// oracle's parallel verdict label (oracle.Trace.CheckParallel) prints
+	// it and serve oracle jobs carry it.
 	Stealing bool
 
 	// Ctx, when non-nil, cancels the run cooperatively: it is polled at
@@ -102,7 +98,7 @@ type RunConfig struct {
 type RunResult struct {
 	// Stats is the merged operation counts of every task (also mirrored
 	// into the Exec's Stats field). For a fixed SpawnDepth it is identical
-	// across worker counts and executors.
+	// across worker counts.
 	Stats Stats
 
 	// PerWorker holds each worker's locally-accumulated Stats; their sum
@@ -116,24 +112,21 @@ type RunResult struct {
 	// subtrees); deterministic for a fixed Spec and SpawnDepth.
 	Tasks int64
 
-	// Steals counts tasks that moved between workers (always 0 for the
-	// static executor and for single-worker runs).
+	// Steals counts tasks that moved between workers (always 0 for
+	// single-worker runs).
 	Steals int64
 
-	// EngineOps is the summed engine-overhead counter of every worker (see
-	// Exec.EngineOps): recursion entries for the recursive engine, frame
-	// executions for the iterative one. Like Stats it is deterministic for
-	// a fixed Spec, schedule, and SpawnDepth — identical across worker
-	// counts and executors — which is what makes it gateable in CI.
+	// EngineOps is the engine-overhead counter of the run (see
+	// Exec.EngineOps): Stats.OuterCalls + Stats.InnerCalls.
 	EngineOps int64
 }
 
 // RunWith executes the computation under cfg. The outer tree is split into
 // tasks down to cfg.SpawnDepth — each split node contributes its column as
 // one task, each depth-SpawnDepth subtree runs cfg.Variant whole — and the
-// tasks execute on cfg.Workers workers, either from a static queue or with
-// work stealing. Per-worker Stats are accumulated locally, with no shared
-// state on the hot path, and merged once at the end.
+// tasks execute on cfg.Workers work-stealing workers. Per-worker Stats are
+// accumulated locally, with no shared state on the hot path, and merged
+// once at the end.
 //
 // Soundness requires the §3.3 criterion (outer recursions independent), and
 // Spec.Work plus the truncation predicates must be safe to call from
@@ -152,15 +145,8 @@ func (e *Exec) RunWith(cfg RunConfig) (RunResult, error) {
 	if depth > math.MaxInt32 {
 		return RunResult{}, fmt.Errorf("nest: spawn depth %d out of range", depth)
 	}
-	e.Engine = cfg.Engine
 	done := obs.Span(cfg.Recorder, "nest.run")
-	var res RunResult
-	var err error
-	if cfg.Stealing {
-		res, err = e.runStealing(cfg, workers, int32(depth))
-	} else {
-		res, err = e.runStatic(cfg, workers, depth)
-	}
+	res, err := e.runStealing(cfg, workers, int32(depth))
 	e.Stats = res.Stats
 	done()
 	if cfg.Recorder != nil {
@@ -168,7 +154,6 @@ func (e *Exec) RunWith(cfg RunConfig) (RunResult, error) {
 		cfg.Recorder.Count("nest.steals", res.Steals)
 		cfg.Recorder.Count("nest.workers", int64(res.Workers))
 		cfg.Recorder.Count("nest.engine.ops", res.EngineOps)
-		cfg.Recorder.Count("nest.engine."+cfg.Engine.String(), 1)
 		if cfg.SimWorkers > 0 {
 			cfg.Recorder.Count("nest.simworkers", int64(cfg.SimWorkers))
 		}
@@ -186,7 +171,6 @@ func (e *Exec) child(ctx context.Context) *Exec {
 		spec:              e.spec,
 		Flags:             e.Flags,
 		SubtreeTruncation: e.SubtreeTruncation,
-		Engine:            e.Engine,
 		irregular:         e.irregular,
 		ctx:               ctx,
 	}
@@ -204,89 +188,4 @@ func taskSpec(cfg *RunConfig, worker int, root tree.NodeID, base Spec) Spec {
 		s.Work = cfg.WrapWork(worker, s.Work)
 	}
 	return s
-}
-
-// runStatic is the static spawn-depth executor: worker 0 runs the split
-// columns sequentially while collecting the depth-SpawnDepth task roots,
-// then all workers drain the roots from one queue. It is the baseline the
-// stealing executor is measured against; both run the identical task set.
-func (e *Exec) runStatic(cfg RunConfig, workers, depth int) (RunResult, error) {
-	base := e.spec
-	iRoot := base.Inner.Root()
-
-	w0 := e.child(cfg.Ctx)
-	var roots []tree.NodeID
-	var aborted atomic.Bool
-	var tasks int64
-	var walk func(o tree.NodeID, d int)
-	walk = func(o tree.NodeID, d int) {
-		if w0.truncO(o) || w0.ctxErr != nil {
-			return
-		}
-		if cfg.Ctx != nil {
-			if err := cfg.Ctx.Err(); err != nil {
-				w0.ctxErr = err
-				return
-			}
-		}
-		tasks++
-		if d == depth {
-			roots = append(roots, o)
-			return
-		}
-		w0.spec = taskSpec(&cfg, 0, o, base)
-		w0.column(o, iRoot)
-		walk(base.Outer.Left(o), d+1)
-		walk(base.Outer.Right(o), d+1)
-	}
-	walk(base.Outer.Root(), 0)
-	if w0.ctxErr != nil {
-		aborted.Store(true)
-	}
-
-	perWorker := make([]Stats, workers)
-	engineOps := make([]int64, workers)
-	ch := make(chan tree.NodeID)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ew := w0
-			if w != 0 {
-				ew = e.child(cfg.Ctx)
-			}
-			for root := range ch {
-				if aborted.Load() {
-					continue // keep draining so senders never block
-				}
-				ew.spec = taskSpec(&cfg, w, root, base)
-				ew.runVariant(cfg.Variant, root, iRoot)
-				if ew.ctxErr != nil {
-					aborted.Store(true)
-				}
-			}
-			perWorker[w] = ew.Stats
-			engineOps[w] = ew.EngineOps()
-		}(w)
-	}
-	if !aborted.Load() {
-		for _, root := range roots {
-			ch <- root
-		}
-	}
-	close(ch)
-	wg.Wait()
-
-	var merged Stats
-	var ops int64
-	for w, st := range perWorker {
-		merged.Add(st)
-		ops += engineOps[w]
-	}
-	res := RunResult{Stats: merged, PerWorker: perWorker, Workers: workers, Tasks: tasks, EngineOps: ops}
-	if aborted.Load() {
-		return res, cfg.Ctx.Err()
-	}
-	return res, nil
 }

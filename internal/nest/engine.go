@@ -1,75 +1,24 @@
-// Iterative visit engine: an explicit-stack lowering of the four schedule
-// recursions (outer/inner/outerSwapped/innerSwapped) into one flat work loop.
-//
-// Motivation (ROADMAP item 5): on the recursive engine every point of the
-// iteration space pays a Go function call — prologue, closure environment,
-// stack growth checks — even when the call immediately returns because the
-// node is truncated. The paper's §4.3 counter optimization already hints that
-// the twisted order can be driven by flat state rather than nested calls;
-// Insa & Silva's loop↔recursion equivalence (PAPERS.md) is the inverse
-// lowering applied here: the scheduled recursion becomes a loop over compact
-// frame records.
-//
-// # Lowering
-//
-// Each pending recursion activation is a 16-byte iframe{o, i, mark, fn+phase}
-// on an explicit stack owned by the Exec. The drain loop pops the top frame
-// and executes one activation of the corresponding recursion body, pushing
-// child frames in reverse order so the leftmost child runs next (LIFO order
-// reproduces the recursion's depth-first order exactly).
-//
-// The key overhead win is where entry checks run. The recursive engine
-// evaluates every truncation test inside the callee, after the call was
-// already made; here the *pure* entry predicates (truncO/truncI, which the
-// Spec contract requires to be pure functions of the node) are hoisted to
-// frame-push time, so a truncated activation never becomes a frame at all —
-// it costs one branch instead of a function call. The *stateful* predicates
-// (flagged / TruncInner2, which read and write flag state interleaved with
-// Work) still run exactly at the frame's scheduled position, which is what
-// keeps the flag protocol — and hence Stats, checksums, and oracle verdicts —
-// bit-identical to the recursive engine (DESIGN.md §4.13).
-//
-// # Counter optimization
-//
-// outerSwapped is the only body with a resumption point after its children
-// (the Fig 6(b) line 9 flag unwind). Under FlagCounter mode — the §4.3
-// representation — flags expire by themselves, so the frame retires before
-// its children and the unwind phase is never materialized: the counter
-// optimization applied at the engine level, exactly where the schedule
-// permits it. Only FlagSets mode on an irregular space pays the third phase.
-//
-// # The row register
-//
-// innerSwapped returns "is this whole outer subtree truncated for the
-// region?", an AND over the row's visits that drives the §4.2 region cut.
-// Because innerSwapped frames only ever push innerSwapped frames, the row
-// started by an outerSwapped activation drains completely before any other
-// activation runs: at most one row is in flight at a time, so a single
-// engine register (rowAllTrunc) replaces the recursion's bottom-up return
-// plumbing — any visit that executes Work clears it.
 package nest
 
 import (
 	"fmt"
 	"strings"
-
-	"twist/internal/tree"
 )
 
-// Engine selects the visit-engine implementation an Exec (or RunConfig) uses
-// to execute a schedule. Both engines run the identical schedule — same
-// Stats, same Work order, same checksums and oracle verdicts — and differ
-// only in control-flow machinery; EngineOps quantifies the difference.
+// Engine is a visit-engine label. The package has one visit engine — the
+// recursive transcription of the paper's four schedule functions
+// (outer/inner/outerSwapped/innerSwapped, Fig 2/3/4a/6b) — and both names
+// run it. The label stays because serve requests, oracle verdict labels and
+// the benchmark's per-engine metrics name engines; it selects nothing
+// (DESIGN.md §4.13).
 type Engine int
 
 const (
-	// EngineRecursive is the paper-shaped engine: each of the four schedule
-	// functions is a Go recursion (Fig 2/3/4a/6b transcribed). Default.
+	// EngineRecursive names the recursive engine. Default.
 	EngineRecursive Engine = iota
 
-	// EngineIterative is the explicit-stack lowering described above: one
-	// flat loop over compact frame records, pure entry checks hoisted to
-	// push time, and the unwind phase elided under FlagCounter.
+	// EngineIterative is the other accepted name. It runs the recursive
+	// engine, exactly like EngineRecursive.
 	EngineIterative
 )
 
@@ -97,265 +46,12 @@ func ParseEngine(s string) (Engine, error) {
 	return 0, fmt.Errorf("nest: unknown engine %q (want recursive or iterative)", s)
 }
 
-// Engines returns both engines, in canonical order (recursive first).
+// Engines returns both engine labels, in canonical order (recursive first).
 func Engines() []Engine { return []Engine{EngineRecursive, EngineIterative} }
 
-// Frame function selectors. fn occupies iframe.fn's low bits; outerSwapped
-// additionally carries a phase.
-const (
-	fnOuter uint8 = iota
-	fnInner
-	fnOuterSwapped
-	fnInnerSwapped
-)
-
-// iframe is one pending activation: outer node, inner node, the unTrunc
-// watermark for FlagSets unwinding (outerSwapped only), and the function
-// selector plus resumption phase. 16 bytes — two or three orders of
-// magnitude smaller than a Go stack frame with its closure environment.
-type iframe struct {
-	o, i  tree.NodeID
-	mark  int32
-	fn    uint8
-	phase uint8
-}
-
 // EngineOps reports the engine-overhead counter of the last sequential run:
-// the number of schedule-machinery activations the engine performed. For the
-// recursive engine that is one Go call per outer/inner entry — truncated or
-// not — i.e. Stats.OuterCalls + Stats.InnerCalls; for the iterative engine
-// it is the number of frame executions in the drain loop, where truncated
-// entries never became frames and the FlagCounter unwind phase was elided.
-// The counter is deterministic (a pure function of Spec, schedule, and flag
-// mode), which is what lets CI gate the ≥30% twisted-schedule reduction
-// exactly even where wall clocks are noise (see BENCH_wallclock.json).
+// one Go call per outer/inner recursion entry, truncated or not — that is,
+// Stats.OuterCalls + Stats.InnerCalls, whatever the Engine label says.
 func (e *Exec) EngineOps() int64 {
-	if e.Engine == EngineIterative {
-		return e.engineSteps
-	}
 	return e.Stats.OuterCalls + e.Stats.InnerCalls
-}
-
-// runIterative is runVariant on the iterative engine: seed the root frame
-// under the variant's twisting mode, then drain.
-func (e *Exec) runIterative(v Variant, o, i tree.NodeID) {
-	switch v.Kind {
-	case KindOriginal:
-		e.twist = false
-		e.pushOuter(o, i)
-	case KindInterchanged:
-		e.twist = false
-		e.pushOuterSwapped(o, i)
-	case KindTwisted:
-		e.twist, e.cutoff = true, 0
-		e.pushOuter(o, i)
-	case KindTwistedCutoff:
-		e.twist, e.cutoff = true, v.Cutoff
-		e.pushOuter(o, i)
-	default:
-		panic("nest: unknown schedule variant")
-	}
-	e.drain()
-}
-
-// column runs the inner recursion for one outer node under the configured
-// engine. It is the split-node column unit of the parallel decomposition
-// (§7.3): the executors call it for every split node above SpawnDepth.
-func (e *Exec) column(o, i tree.NodeID) {
-	if e.Engine == EngineIterative {
-		e.pushInner(o, i)
-		e.drain()
-		return
-	}
-	e.inner(o, i)
-}
-
-// pushOuter replicates outer's entry: count the call, drop truncated or
-// canceled activations before they cost a frame.
-func (e *Exec) pushOuter(o, i tree.NodeID) {
-	e.Stats.OuterCalls++
-	if e.truncO(o) || e.canceled() {
-		return
-	}
-	e.stack = append(e.stack, iframe{o: o, i: i, fn: fnOuter})
-}
-
-// pushInner replicates inner's pure entry check (truncI); the stateful
-// flagged/TruncInner2 check must wait for the frame's scheduled position.
-func (e *Exec) pushInner(o, i tree.NodeID) {
-	e.Stats.InnerCalls++
-	if e.truncI(i) {
-		return
-	}
-	e.stack = append(e.stack, iframe{o: o, i: i, fn: fnInner})
-}
-
-// pushOuterSwapped replicates outerSwapped's entry checks, in its order
-// (inner-region emptiness first, then the outer guard and the poll).
-func (e *Exec) pushOuterSwapped(o, i tree.NodeID) {
-	e.Stats.OuterCalls++
-	if e.truncI(i) {
-		return
-	}
-	if e.truncO(o) || e.canceled() {
-		return
-	}
-	e.stack = append(e.stack, iframe{o: o, i: i, fn: fnOuterSwapped})
-}
-
-// pushInnerSwapped replicates innerSwapped's entry: an empty outer subtree
-// is vacuously all-truncated, so it simply contributes nothing to the row
-// (leaving rowAllTrunc as the recursion's `&& true` would).
-func (e *Exec) pushInnerSwapped(o, i tree.NodeID) {
-	e.Stats.InnerCalls++
-	if e.truncO(o) {
-		return
-	}
-	e.stack = append(e.stack, iframe{o: o, i: i, fn: fnInnerSwapped})
-}
-
-// expandOuterChild applies outer's per-child twisting decision (Fig 4a).
-// The decision reads only the static subtree sizes and the run's cutoff, so
-// evaluating both children at expansion time is unobservable.
-func (e *Exec) expandOuterChild(c, i tree.NodeID, out, in *tree.Topology) {
-	if e.twist {
-		e.Stats.SizeCompares++
-		if out.Size(c) <= in.Size(i) && in.Size(i) > e.cutoff {
-			e.Stats.Twists++
-			e.pushOuterSwapped(c, i)
-			return
-		}
-	}
-	e.pushOuter(c, i)
-}
-
-// expandSwappedChild applies outerSwapped's per-child twist-back decision.
-func (e *Exec) expandSwappedChild(o, c tree.NodeID, out, in *tree.Topology) {
-	if e.twist {
-		e.Stats.SizeCompares++
-		if in.Size(c) <= out.Size(o) {
-			e.Stats.Twists++
-			e.pushOuter(o, c)
-			return
-		}
-	}
-	e.pushOuterSwapped(o, c)
-}
-
-// drain is the flat work loop: pop the top frame, execute one activation,
-// push successors. Each iteration is one EngineOps step.
-func (e *Exec) drain() {
-	for len(e.stack) > 0 {
-		e.engineSteps++
-		top := len(e.stack) - 1
-		f := &e.stack[top]
-		switch f.fn {
-		case fnInner:
-			o, i := f.o, f.i
-			e.stack = e.stack[:top]
-			if e.irregular {
-				e.Stats.TruncChecks++
-				if e.flagged(o, i) || e.spec.TruncInner2(o, i) {
-					continue
-				}
-			}
-			e.Stats.Iterations++
-			e.Stats.Work++
-			e.spec.Work(o, i)
-			in := e.spec.Inner
-			e.pushInner(o, in.Right(i))
-			e.pushInner(o, in.Left(i))
-
-		case fnOuter:
-			o, i := f.o, f.i
-			e.stack = e.stack[:top]
-			out, in := e.spec.Outer, e.spec.Inner
-			// Successors in reverse order: the column frame lands on top so
-			// inner(o, i) runs before either outer child, as in Fig 2.
-			e.expandOuterChild(out.Right(o), i, out, in)
-			e.expandOuterChild(out.Left(o), i, out, in)
-			e.pushInner(o, i)
-
-		case fnOuterSwapped:
-			switch f.phase {
-			case 0:
-				// Start the row. The frame stays put below the row's
-				// innerSwapped frames and resumes at phase 1 when the row —
-				// which pushes only innerSwapped frames — has drained. The
-				// row root's activation is fused into this step (it can never
-				// be truncO — pushOuterSwapped checked — so it would pop
-				// unconditionally anyway), keeping the step count at or below
-				// the recursive engine's call count even on rows the §4.2
-				// optimization cuts immediately.
-				f.phase = 1
-				if e.irregular && e.Flags == FlagSets {
-					f.mark = int32(len(e.unTrunc))
-				}
-				e.rowAllTrunc = true
-				o, i := f.o, f.i
-				e.Stats.InnerCalls++
-				e.stepInnerSwapped(o, i)
-			case 1:
-				o, i, mark := f.o, f.i, int(f.mark)
-				if e.rowAllTrunc && e.SubtreeTruncation && e.irregular {
-					// §4.2 region cut, as in outerSwapped.
-					e.Stats.SubtreeCuts++
-					e.clearFlags(mark)
-					e.stack = e.stack[:top]
-					continue
-				}
-				out, in := e.spec.Outer, e.spec.Inner
-				if e.irregular && e.Flags == FlagSets {
-					// Fig 6(b) line 9: unwind this row's flags after both
-					// child regions complete.
-					f.phase = 2
-				} else {
-					// §4.3 at the engine level: counter flags (and regular
-					// spaces) need no unwind, so the frame retires now and
-					// the resumption phase is never materialized.
-					e.stack = e.stack[:top]
-				}
-				e.expandSwappedChild(o, in.Right(i), out, in)
-				e.expandSwappedChild(o, in.Left(i), out, in)
-			default:
-				e.clearFlags(int(f.mark))
-				e.stack = e.stack[:top]
-			}
-
-		default: // fnInnerSwapped
-			o, i := f.o, f.i
-			e.stack = e.stack[:top]
-			e.stepInnerSwapped(o, i)
-		}
-	}
-}
-
-// stepInnerSwapped executes one innerSwapped activation body (past the entry
-// check): the stateful flag protocol at the scheduled position, the visit,
-// and the two child pushes.
-func (e *Exec) stepInnerSwapped(o, i tree.NodeID) {
-	truncated := false
-	if e.irregular {
-		e.Stats.TruncChecks++
-		if e.flagged(o, i) {
-			truncated = true
-		} else if e.spec.TruncInner2(o, i) {
-			e.setFlag(o, i)
-			truncated = true
-		}
-	}
-	e.Stats.Iterations++
-	if !truncated {
-		e.Stats.Work++
-		e.spec.Work(o, i)
-		e.rowAllTrunc = false
-	} else if e.spec.Hereditary && e.SubtreeTruncation {
-		// §4.2 hereditary cut: the whole outer subtree is pruned and
-		// contributes vacuously to the row's AND.
-		e.Stats.SubtreeCuts++
-		return
-	}
-	out := e.spec.Outer
-	e.pushInnerSwapped(out.Right(o), i)
-	e.pushInnerSwapped(out.Left(o), i)
 }

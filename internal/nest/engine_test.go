@@ -8,69 +8,28 @@ import (
 	"twist/internal/tree"
 )
 
-// runExact executes variant v of s under the given engine and returns the
-// exact work order plus the final Stats.
-func runExact(t *testing.T, s Spec, v Variant, eng Engine, tweak func(*Exec)) ([]pair, Stats, int64) {
-	t.Helper()
-	var got []pair
-	s.Work = func(o, i tree.NodeID) { got = append(got, pair{o, i}) }
-	e := MustNew(s)
-	e.Engine = eng
-	if tweak != nil {
-		tweak(e)
-	}
-	e.Run(v)
-	return got, e.Stats, e.EngineOps()
-}
-
-// The engine contract (DESIGN.md §4.13): the iterative lowering executes the
-// *identical* schedule — same work order (not just multiset) and bit-identical
-// Stats — across regular and irregular spaces, all variants, both flag
-// modes, with and without the §4.2 optimization.
+// The engine label selects nothing (DESIGN.md §4.13): a run labelled
+// iterative has the recursive run's work order (not just multiset) and
+// Stats, on regular, hereditary and general irregular spaces, for every
+// variant and both flag modes, and EngineOps is OuterCalls + InnerCalls
+// under either label.
 func TestEnginesBitIdentical(t *testing.T) {
 	t.Parallel()
-	shapes := []struct {
-		name         string
-		outer, inner *tree.Topology
-	}{
-		{"perfect", tree.NewPerfect(4), tree.NewPerfect(4)},
-		{"balanced-uneven", tree.NewBalanced(37), tree.NewBalanced(61)},
-		{"random", tree.NewRandomBST(45, 3), tree.NewRandomBST(33, 4)},
-		{"chain-vs-tree", tree.NewChain(17), tree.NewBalanced(31)},
-	}
-	specs := func(outer, inner *tree.Topology) map[string]Spec {
-		return map[string]Spec{
-			"regular":          regularSpec(outer, inner),
-			"irregular":        irregularSpec(outer, inner, 21, false, 0.6),
-			"irregular-dense":  irregularSpec(outer, inner, 22, false, 0.95),
-			"hereditary":       irregularSpec(outer, inner, 23, true, 0.6),
-			"hereditary-dense": irregularSpec(outer, inner, 24, true, 0.95),
-		}
-	}
-	variants := []Variant{Original(), Interchanged(), Twisted(), TwistedCutoff(3)}
-	for _, sh := range shapes {
-		for sname, s := range specs(sh.outer, sh.inner) {
-			for _, v := range variants {
-				for _, fm := range []FlagMode{FlagSets, FlagCounter} {
-					for _, st := range []bool{false, true} {
-						tweak := func(e *Exec) {
-							e.Flags = fm
-							e.SubtreeTruncation = st
-						}
-						wantPairs, wantStats, recOps := runExact(t, s, v, EngineRecursive, tweak)
-						gotPairs, gotStats, iterOps := runExact(t, s, v, EngineIterative, tweak)
-						if !reflect.DeepEqual(gotPairs, wantPairs) {
-							t.Fatalf("%s/%s/%v/%v/subtree=%v: iterative work order diverges from recursive",
-								sh.name, sname, v, fm, st)
-						}
-						if gotStats != wantStats {
-							t.Fatalf("%s/%s/%v/%v/subtree=%v: stats diverge\n iter %v\n rec  %v",
-								sh.name, sname, v, fm, st, gotStats, wantStats)
-						}
-						if iterOps > recOps {
-							t.Fatalf("%s/%s/%v/%v/subtree=%v: iterative engine ops %d exceed recursive %d",
-								sh.name, sname, v, fm, st, iterOps, recOps)
-						}
+	for name, s := range stealSpecs(t) {
+		for _, v := range []Variant{Original(), Interchanged(), Twisted(), TwistedCutoff(3)} {
+			for _, fm := range []FlagMode{FlagSets, FlagCounter} {
+				var want []pair
+				var wantStats Stats
+				for _, eng := range Engines() {
+					var e *Exec
+					got := runPairs(t, s, v, func(x *Exec) { x.Flags, x.Engine, e = fm, eng, x })
+					if eng == EngineRecursive {
+						want, wantStats = got, e.Stats
+					} else if !reflect.DeepEqual(got, want) || e.Stats != wantStats {
+						t.Fatalf("%s/%v/%v: the iterative label changed the run", name, v, fm)
+					}
+					if calls := e.Stats.OuterCalls + e.Stats.InnerCalls; e.EngineOps() != calls {
+						t.Fatalf("%s/%v/%v/%v: EngineOps %d != OuterCalls+InnerCalls %d", name, v, fm, eng, e.EngineOps(), calls)
 					}
 				}
 			}
@@ -78,100 +37,52 @@ func TestEnginesBitIdentical(t *testing.T) {
 	}
 }
 
-// The tentpole acceptance bound, at the unit level: on twisted schedules the
-// engine-overhead counter must drop by at least 30% (truncated entries never
-// become frames; the FlagCounter unwind phase is elided).
-func TestIterativeEngineOpsReduction(t *testing.T) {
-	t.Parallel()
-	outer, inner := tree.NewBalanced(511), tree.NewBalanced(511)
-	for sname, s := range map[string]Spec{
-		"regular":   regularSpec(outer, inner),
-		"irregular": irregularSpec(outer, inner, 7, false, 0.3),
-	} {
-		for _, v := range []Variant{Twisted(), TwistedCutoff(15)} {
-			_, recStats, recOps := runExact(t, s, v, EngineRecursive, nil)
-			_, _, iterOps := runExact(t, s, v, EngineIterative, nil)
-			if recStats.Work < 10_000 {
-				t.Fatalf("%s/%v: degenerate spec (only %d visits), pick another seed", sname, v, recStats.Work)
-			}
-			red := 1 - float64(iterOps)/float64(recOps)
-			if red < 0.30 {
-				t.Errorf("%s/%v: engine ops reduction %.1f%% (rec %d, iter %d), want >= 30%%",
-					sname, v, red*100, recOps, iterOps)
-			}
-		}
-	}
-}
-
-// RunWith contract extension: the Engine axis changes neither the merged
-// Stats nor the task decomposition, EngineOps is deterministic across worker
-// counts and executors, and the recursive EngineOps equals OuterCalls +
-// InnerCalls by construction.
+// RunWith contract extension: the Engine label changes neither the merged
+// Stats nor the task decomposition, and RunResult.EngineOps is OuterCalls +
+// InnerCalls at every worker count under either label.
 func TestParallelEnginesIdentical(t *testing.T) {
 	t.Parallel()
-	outer, inner := tree.NewRandomBST(300, 5), tree.NewRandomBST(280, 6)
-	s := irregularSpec(outer, inner, 31, true, 0.6)
+	s := irregularSpec(tree.NewRandomBST(300, 5), tree.NewRandomBST(280, 6), 31, true, 0.6)
 	s.Work = func(o, i tree.NodeID) {}
-
-	base, err := MustNew(s).RunWith(RunConfig{Variant: Twisted(), Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.EngineOps != base.Stats.OuterCalls+base.Stats.InnerCalls {
-		t.Fatalf("recursive EngineOps %d != OuterCalls+InnerCalls %d",
-			base.EngineOps, base.Stats.OuterCalls+base.Stats.InnerCalls)
-	}
-	var iterOps int64
-	for _, workers := range []int{1, 3, 8} {
-		for _, stealing := range []bool{false, true} {
-			res, err := MustNew(s).RunWith(RunConfig{
-				Variant:  Twisted(),
-				Engine:   EngineIterative,
-				Workers:  workers,
-				Stealing: stealing,
-			})
+	var base RunResult
+	for _, eng := range Engines() {
+		for _, workers := range []int{1, 3, 8} {
+			res, err := MustNew(s).RunWith(RunConfig{Variant: Twisted(), Engine: eng, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Stats != base.Stats {
-				t.Fatalf("workers=%d stealing=%v: iterative merged stats diverge\n iter %v\n rec  %v",
-					workers, stealing, res.Stats, base.Stats)
+			if base.Tasks == 0 {
+				base = res
 			}
-			if iterOps == 0 {
-				iterOps = res.EngineOps
-			} else if res.EngineOps != iterOps {
-				t.Fatalf("workers=%d stealing=%v: EngineOps %d not deterministic (first saw %d)",
-					workers, stealing, res.EngineOps, iterOps)
+			if res.Stats != base.Stats || res.Tasks != base.Tasks {
+				t.Fatalf("%v workers=%d: merged result diverges\n got %v (%d tasks)\nwant %v (%d tasks)",
+					eng, workers, res.Stats, res.Tasks, base.Stats, base.Tasks)
+			}
+			if calls := res.Stats.OuterCalls + res.Stats.InnerCalls; res.EngineOps != calls {
+				t.Fatalf("%v workers=%d: EngineOps %d != OuterCalls+InnerCalls %d", eng, workers, res.EngineOps, calls)
 			}
 		}
 	}
-	if iterOps >= base.EngineOps {
-		t.Fatalf("parallel iterative EngineOps %d not below recursive %d", iterOps, base.EngineOps)
-	}
 }
 
-// Cancellation still terminates the iterative drain loop promptly and
-// surfaces ctx.Err; partial stats are permitted to differ between engines.
+// A run labelled iterative honours cancellation like any other: it stops
+// promptly and surfaces ctx.Err.
 func TestIterativeContextCancel(t *testing.T) {
 	t.Parallel()
-	outer, inner := tree.NewBalanced(1023), tree.NewBalanced(1023)
-	s := regularSpec(outer, inner)
+	const n = 1023
+	s := regularSpec(tree.NewBalanced(n), tree.NewBalanced(n))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	n := 0
+	var visits int
 	s.Work = func(o, i tree.NodeID) {
-		n++
-		if n == 400 {
+		if visits++; visits == 400 {
 			cancel()
 		}
 	}
 	e := MustNew(s)
 	e.Engine = EngineIterative
-	if err := e.RunContext(ctx, Twisted()); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if e.Stats.Work >= int64(outer.Len())*int64(inner.Len()) {
-		t.Fatal("cancellation did not cut the run short")
+	if err := e.RunContext(ctx, Twisted()); err != context.Canceled || e.Stats.Work >= n*n {
+		t.Fatalf("err = %v after %d of %d visits, want context.Canceled before the end", err, e.Stats.Work, n*n)
 	}
 }
 

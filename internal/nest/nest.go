@@ -28,11 +28,10 @@
 // decomposition under a RunConfig. The contract callers rely on:
 //
 //   - The task decomposition is a pure function of the Spec and
-//     RunConfig.SpawnDepth — never of Workers, Stealing, or runtime
-//     scheduling — so the merged RunResult.Stats (and RunResult.Tasks) are
-//     byte-identical across worker counts and across both executors. This
-//     determinism is what the observability layer's exact-match regression
-//     gating builds on (DESIGN.md §4.7).
+//     RunConfig.SpawnDepth — never of Workers or runtime scheduling — so
+//     the merged RunResult.Stats (and RunResult.Tasks) are byte-identical
+//     across worker counts. This determinism is what the observability
+//     layer's exact-match regression gating builds on (DESIGN.md §4.7).
 //
 //   - Soundness needs the §3.3 criterion (outer recursions independent),
 //     and Spec.Work plus the truncation predicates must tolerate concurrent
@@ -168,11 +167,8 @@ type Exec struct {
 	// Spec.Hereditary; ignored otherwise). Default true.
 	SubtreeTruncation bool
 
-	// Engine selects the visit-engine implementation (see Engine): the
-	// paper-shaped recursive engine, or the explicit-stack iterative
-	// lowering. Both execute the identical schedule — Stats, Work order,
-	// checksums, and oracle verdicts are bit-identical — differing only in
-	// control-flow machinery (EngineOps). Default EngineRecursive.
+	// Engine is a visit-engine label (see Engine) and selects nothing:
+	// every run uses the recursive engine.
 	Engine Engine
 
 	// Stats accumulates the operation counts for the run; see Stats. Reset
@@ -191,13 +187,6 @@ type Exec struct {
 	// Twisting control for the current run.
 	twist  bool
 	cutoff int32
-
-	// Iterative-engine state: the explicit frame stack (capacity reused
-	// across runs), the EngineOps step counter, and the single-active-row
-	// all-truncated register (see engine.go).
-	stack       []iframe
-	engineSteps int64
-	rowAllTrunc bool
 
 	// Cancellation state. ctx, when non-nil, is polled at outer-subtree
 	// granularity (every outer-recursion entry, rate-limited); the first
@@ -263,13 +252,11 @@ func (e *Exec) RunFrom(v Variant, o, i tree.NodeID) {
 
 // prepare sizes and clears the truncation-flag state (and resets the
 // cancellation latch) without running. Callers that drive the recursion
-// functions directly — the parallel executors — invoke it once before their
-// first descent.
+// functions directly — the parallel executor's workers — invoke it once
+// before their first descent.
 func (e *Exec) prepare() {
 	e.ctxErr = nil
 	e.ctxPoll = 0
-	e.engineSteps = 0
-	e.stack = e.stack[:0]
 	if !e.irregular {
 		return
 	}
@@ -302,10 +289,6 @@ func (e *Exec) prepare() {
 // RunFrom is prepare + runVariant, and the work-stealing executor calls it
 // once per task, accumulating into the worker's Stats.
 func (e *Exec) runVariant(v Variant, o, i tree.NodeID) {
-	if e.Engine == EngineIterative {
-		e.runIterative(v, o, i)
-		return
-	}
 	switch v.Kind {
 	case KindOriginal:
 		e.twist = false

@@ -68,7 +68,7 @@ const (
 	costIteration  = 1
 )
 
-// Add accumulates o into s field-wise. The parallel executors use it to
+// Add accumulates o into s field-wise. The parallel executor uses it to
 // merge per-worker statistics once at the end of a run; every field is a
 // plain sum, so the merge of a deterministic decomposition is itself
 // deterministic regardless of worker count or stealing order.

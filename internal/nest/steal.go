@@ -1,17 +1,16 @@
 // Work-stealing executor for the §7.3 parallel decomposition.
 //
-// The static spawn-depth split assigns whole depth-SpawnDepth subtrees to a
-// fixed queue; on irregular, truncation-heavy spaces (PC, KNN, VP) the
-// subtree costs are wildly uneven, so workers go idle while a straggler
-// finishes. Here each worker owns a bounded deque of outer-subtree tasks:
-// it pushes and pops at the tail (LIFO) so the task it runs next is the one
-// whose outer subtree it touched most recently — the same locality argument
-// as twisting itself — and when dry it steals the oldest half of a victim's
-// deque (FIFO), taking the largest-grain tasks and leaving the victim its
-// hot tail. The task *decomposition* is identical to the static executor's
-// (split while depth < SpawnDepth, run the variant at SpawnDepth), so the
-// merged Stats are byte-identical across executors and worker counts; only
-// the assignment of tasks to workers varies.
+// On irregular, truncation-heavy spaces (PC, KNN, VP) subtree costs are
+// wildly uneven, so a fixed assignment of subtrees to workers leaves workers
+// idle while a straggler finishes. Here each worker owns a bounded deque of
+// outer-subtree tasks: it pushes and pops at the tail (LIFO) so the task it
+// runs next is the one whose outer subtree it touched most recently — the
+// same locality argument as twisting itself — and when dry it steals the
+// oldest half of a victim's deque (FIFO), taking the largest-grain tasks and
+// leaving the victim its hot tail. The task *decomposition* is fixed (split
+// while depth < SpawnDepth, run the variant at SpawnDepth), so the merged
+// Stats are byte-identical across worker counts; only the assignment of
+// tasks to workers varies.
 package nest
 
 import (
@@ -120,22 +119,19 @@ func (e *Exec) runStealing(cfg RunConfig, workers int, depth int32) (RunResult, 
 	r.deques[0].push(task{root: r.base.Outer.Root(), depth: 0})
 
 	perWorker := make([]Stats, workers)
-	engineOps := make([]int64, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			r.worker(w, e.child(cfg.Ctx), &perWorker[w], &engineOps[w])
+			r.worker(w, e.child(cfg.Ctx), &perWorker[w])
 		}(w)
 	}
 	wg.Wait()
 
 	var merged Stats
-	var ops int64
-	for w, st := range perWorker {
+	for _, st := range perWorker {
 		merged.Add(st)
-		ops += engineOps[w]
 	}
 	res := RunResult{
 		Stats:     merged,
@@ -143,7 +139,7 @@ func (e *Exec) runStealing(cfg RunConfig, workers int, depth int32) (RunResult, 
 		Workers:   workers,
 		Tasks:     r.tasks.Load(),
 		Steals:    r.steals.Load(),
-		EngineOps: ops,
+		EngineOps: merged.OuterCalls + merged.InnerCalls,
 	}
 	if r.aborted.Load() {
 		return res, cfg.Ctx.Err()
@@ -156,7 +152,7 @@ func (e *Exec) runStealing(cfg RunConfig, workers int, depth int32) (RunResult, 
 // the single oldest task, keep the rest locally — the local deque is empty,
 // so they always fit); back off when everyone is dry but tasks are still in
 // flight; exit when no task is pending anywhere.
-func (r *stealRun) worker(w int, e *Exec, out *Stats, ops *int64) {
+func (r *stealRun) worker(w int, e *Exec, out *Stats) {
 	var scratch []task
 	idle := 0
 	for {
@@ -192,7 +188,6 @@ func (r *stealRun) worker(w int, e *Exec, out *Stats, ops *int64) {
 		}
 	}
 	*out = e.Stats
-	*ops = e.EngineOps()
 }
 
 // runTask executes one unit on worker w's Exec: split nodes push their
@@ -234,7 +229,7 @@ func (r *stealRun) runTask(e *Exec, w int, t task) {
 				e.spec = spec
 			}
 		}
-		e.column(t.root, r.iRoot)
+		e.inner(t.root, r.iRoot)
 	} else {
 		e.runVariant(r.cfg.Variant, t.root, r.iRoot)
 	}

@@ -48,12 +48,12 @@ func TestStealingMergeMatchesSequentialAggregate(t *testing.T) {
 	for name, s := range stealSpecs(t) {
 		for _, v := range []Variant{Original(), Interchanged(), Twisted(), TwistedCutoff(8)} {
 			wantPairs := pairSet(runPairs(t, s, Original(), nil))
-			seqPairs, seq := runWithPairs(t, s, FlagCounter, RunConfig{Variant: v, Workers: 1, Stealing: true})
+			seqPairs, seq := runWithPairs(t, s, FlagCounter, RunConfig{Variant: v, Workers: 1})
 			if !reflect.DeepEqual(pairSet(seqPairs), wantPairs) {
 				t.Fatalf("%s/%v: 1-worker stealing iteration set differs from sequential", name, v)
 			}
 			for _, workers := range []int{2, 3, 8} {
-				gotPairs, got := runWithPairs(t, s, FlagCounter, RunConfig{Variant: v, Workers: workers, Stealing: true})
+				gotPairs, got := runWithPairs(t, s, FlagCounter, RunConfig{Variant: v, Workers: workers})
 				if !reflect.DeepEqual(pairSet(gotPairs), wantPairs) {
 					t.Fatalf("%s/%v/w=%d: stolen iteration set differs", name, v, workers)
 				}
@@ -73,30 +73,29 @@ func TestStealingMergeMatchesSequentialAggregate(t *testing.T) {
 	}
 }
 
-// Static and stealing executors run the identical task decomposition, so
-// their merged Stats agree exactly, at every spawn depth — including one
-// beyond the tree height, where no subtree task is left — and under both
-// flag modes, since each task's Exec inherits the parent's; both execute
-// exactly the sequential iteration set.
-func TestStaticAndStealingAgree(t *testing.T) {
+// The task decomposition depends only on the spawn depth, so one worker and
+// four workers agree exactly on merged Stats and task counts at every depth —
+// including one beyond the tree height, where no subtree task is left — and
+// under both flag modes, since each task's Exec inherits the parent's; both
+// execute exactly the sequential iteration set, and a single worker never
+// steals.
+func TestStealingAgreesAcrossWorkerCounts(t *testing.T) {
 	t.Parallel()
 	for name, s := range stealSpecs(t) {
 		want := pairSet(runPairs(t, s, Original(), nil))
 		for _, fm := range []FlagMode{FlagSets, FlagCounter} {
 			for _, depth := range []int{1, 3, DefaultSpawnDepth, 30} {
-				staticPairs, static := runWithPairs(t, s, fm, RunConfig{Variant: Twisted(), Workers: 4, SpawnDepth: depth})
-				stealPairs, steal := runWithPairs(t, s, fm, RunConfig{Variant: Twisted(), Workers: 4, SpawnDepth: depth, Stealing: true})
-				if !reflect.DeepEqual(pairSet(staticPairs), want) || !reflect.DeepEqual(pairSet(stealPairs), want) {
+				onePairs, one := runWithPairs(t, s, fm, RunConfig{Variant: Twisted(), Workers: 1, SpawnDepth: depth})
+				fourPairs, four := runWithPairs(t, s, fm, RunConfig{Variant: Twisted(), Workers: 4, SpawnDepth: depth})
+				if !reflect.DeepEqual(pairSet(onePairs), want) || !reflect.DeepEqual(pairSet(fourPairs), want) {
 					t.Fatalf("%s/%v depth=%d: parallel iteration set differs from sequential", name, fm, depth)
 				}
-				if static.Stats != steal.Stats {
-					t.Fatalf("%s/%v depth=%d: executors disagree:\nstatic %v\n steal %v", name, fm, depth, static.Stats, steal.Stats)
+				if one.Stats != four.Stats || one.Tasks != four.Tasks {
+					t.Fatalf("%s/%v depth=%d: worker counts disagree:\n   w=1 %v (%d tasks)\n   w=4 %v (%d tasks)",
+						name, fm, depth, one.Stats, one.Tasks, four.Stats, four.Tasks)
 				}
-				if static.Tasks != steal.Tasks {
-					t.Fatalf("%s/%v depth=%d: task counts differ: %d vs %d", name, fm, depth, static.Tasks, steal.Tasks)
-				}
-				if static.Steals != 0 {
-					t.Fatalf("static executor reported %d steals", static.Steals)
+				if one.Steals != 0 {
+					t.Fatalf("%s/%v depth=%d: single worker reported %d steals", name, fm, depth, one.Steals)
 				}
 			}
 		}
@@ -121,7 +120,7 @@ func TestStealingPreservesColumnOrder(t *testing.T) {
 		gotCols[o] = append(gotCols[o], i)
 		mu.Unlock()
 	}
-	if _, err := MustNew(s).RunWith(RunConfig{Variant: Twisted(), Workers: 4, SpawnDepth: 3, Stealing: true}); err != nil {
+	if _, err := MustNew(s).RunWith(RunConfig{Variant: Twisted(), Workers: 4, SpawnDepth: 3}); err != nil {
 		t.Fatal(err)
 	}
 	for o, want := range refCols {
@@ -145,7 +144,6 @@ func TestRunWithForTaskAndWrapWork(t *testing.T) {
 		Variant:    Twisted(),
 		Workers:    4,
 		SpawnDepth: 3,
-		Stealing:   true,
 		ForTask: func(root tree.NodeID, base Spec) Spec {
 			mu.Lock()
 			taskRoots[root]++
@@ -186,20 +184,18 @@ func TestRunWithCancellation(t *testing.T) {
 	s := regularSpec(outer, inner)
 	s.Work = func(o, i tree.NodeID) {}
 	e := MustNew(s)
-	full, err := e.RunWith(RunConfig{Variant: Twisted(), Workers: 2, Stealing: true})
+	full, err := e.RunWith(RunConfig{Variant: Twisted(), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, stealing := range []bool{false, true} {
-		res, err := e.RunWith(RunConfig{Variant: Twisted(), Workers: 2, Stealing: stealing, Ctx: ctx})
-		if err != context.Canceled {
-			t.Fatalf("stealing=%v: err = %v, want context.Canceled", stealing, err)
-		}
-		if res.Stats.Work >= full.Stats.Work {
-			t.Fatalf("stealing=%v: canceled run did all the work", stealing)
-		}
+	res, err := e.RunWith(RunConfig{Variant: Twisted(), Workers: 2, Ctx: ctx})
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res.Stats.Work >= full.Stats.Work {
+		t.Fatal("canceled run did all the work")
 	}
 }
 
@@ -283,7 +279,7 @@ func BenchmarkRunWithStealing(b *testing.B) {
 		b.Run("w"+itoa(workers), func(b *testing.B) {
 			e := MustNew(s)
 			for k := 0; k < b.N; k++ {
-				if _, err := e.RunWith(RunConfig{Variant: Twisted(), Workers: workers, Stealing: true}); err != nil {
+				if _, err := e.RunWith(RunConfig{Variant: Twisted(), Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -15,30 +15,21 @@ func TestRunWithRecorder(t *testing.T) {
 	inner := tree.NewPerfect(7)
 	spec := Spec{Outer: outer, Inner: inner, Work: func(o, i tree.NodeID) {}}
 
-	for _, stealing := range []bool{false, true} {
-		m := obs.NewMemory()
-		e := MustNew(spec)
-		res, err := e.RunWith(RunConfig{
-			Variant: Twisted(), Workers: 2, Stealing: stealing, Recorder: m,
-		})
-		if err != nil {
-			t.Fatal(err)
+	m := obs.NewMemory()
+	res, err := MustNew(spec).RunWith(RunConfig{Variant: Twisted(), Workers: 2, Recorder: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int64{
+		"nest.tasks": res.Tasks, "nest.steals": res.Steals,
+		"nest.iterations": res.Stats.Iterations, "nest.work": res.Stats.Work,
+	} {
+		if got := m.Counter(name); got != want {
+			t.Fatalf("%s counter %d, RunResult says %d", name, got, want)
 		}
-		if got := m.Counter("nest.tasks"); got != res.Tasks {
-			t.Fatalf("stealing=%v: nest.tasks counter %d, RunResult.Tasks %d", stealing, got, res.Tasks)
-		}
-		if got := m.Counter("nest.steals"); got != res.Steals {
-			t.Fatalf("stealing=%v: nest.steals counter %d, RunResult.Steals %d", stealing, got, res.Steals)
-		}
-		if got := m.Counter("nest.iterations"); got != res.Stats.Iterations {
-			t.Fatalf("stealing=%v: nest.iterations counter %d, merged %d", stealing, got, res.Stats.Iterations)
-		}
-		if got := m.Counter("nest.work"); got != res.Stats.Work {
-			t.Fatalf("stealing=%v: nest.work counter %d, merged %d", stealing, got, res.Stats.Work)
-		}
-		if _, ok := m.Timings()["nest.run"]; !ok {
-			t.Fatalf("stealing=%v: nest.run span missing (names: %v)", stealing, m.Names())
-		}
+	}
+	if _, ok := m.Timings()["nest.run"]; !ok {
+		t.Fatalf("nest.run span missing (names: %v)", m.Names())
 	}
 
 	// A nil Recorder (the zero RunConfig) must keep working.

@@ -30,9 +30,7 @@ func FuzzOracleRandomSpaces(f *testing.F) {
 				}
 			}
 		}
-		vd, err := g.CheckParallel(spec, nest.RunConfig{
-			Variant: nest.Twisted(), Workers: 3, Stealing: true,
-		})
+		vd, err := g.CheckParallel(spec, nest.RunConfig{Variant: nest.Twisted(), Workers: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", desc, err)
 		}

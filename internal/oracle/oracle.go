@@ -198,21 +198,11 @@ func captureOnce(s nest.Spec, o, i tree.NodeID) (*Trace, error) {
 type Runner func(s nest.Spec, o, i tree.NodeID, visit func(o, i tree.NodeID))
 
 // EngineRunner adapts the in-repo engine to a Runner: variant v under flag
-// mode fm, with or without the §4.2 subtree-truncation optimization, on the
-// default recursive visit engine.
+// mode fm, with or without the §4.2 subtree-truncation optimization.
 func EngineRunner(v nest.Variant, fm nest.FlagMode, subtree bool) Runner {
-	return EngineRunnerOn(nest.EngineRecursive, v, fm, subtree)
-}
-
-// EngineRunnerOn is EngineRunner on an explicit visit engine (recursive or
-// the iterative lowering, DESIGN.md §4.13). The engine axis must be invisible
-// to the oracle — a diverging verdict here is an engine bug, not a schedule
-// bug.
-func EngineRunnerOn(eng nest.Engine, v nest.Variant, fm nest.FlagMode, subtree bool) Runner {
 	return func(s nest.Spec, o, i tree.NodeID, visit func(o, i tree.NodeID)) {
 		s.Work = visit
 		e := nest.MustNew(s)
-		e.Engine = eng
 		e.Flags = fm
 		e.SubtreeTruncation = subtree
 		e.RunFrom(v, o, i)
@@ -431,21 +421,20 @@ func (g *Trace) Check(s nest.Spec, run Runner, label string) *Verdict {
 }
 
 // CheckVariant checks one engine schedule (variant × flag mode × subtree
-// optimization) against the golden trace, with counterexample minimization,
-// on the default recursive visit engine.
+// optimization) against the golden trace, with counterexample minimization.
 func (g *Trace) CheckVariant(s nest.Spec, v nest.Variant, fm nest.FlagMode, subtree bool) *Verdict {
 	return g.CheckVariantOn(s, nest.EngineRecursive, v, fm, subtree)
 }
 
-// CheckVariantOn is CheckVariant on an explicit visit engine. The label (and
-// so the verdict text) only mentions the engine when it is not the recursive
-// default, keeping recursive verdicts byte-identical to CheckVariant's.
+// CheckVariantOn is CheckVariant under an engine label. The label selects
+// nothing (nest.Engine); it only reaches the verdict text, which names a
+// non-default engine so that verdicts keep the text they have always had.
 func (g *Trace) CheckVariantOn(s nest.Spec, eng nest.Engine, v nest.Variant, fm nest.FlagMode, subtree bool) *Verdict {
 	label := fmt.Sprintf("%v flags=%v subtree=%v", v, fm, subtree)
 	if eng != nest.EngineRecursive {
 		label += fmt.Sprintf(" engine=%v", eng)
 	}
-	return g.Check(s, EngineRunnerOn(eng, v, fm, subtree), label)
+	return g.Check(s, EngineRunner(v, fm, subtree), label)
 }
 
 // CheckSequence compares an externally produced visit sequence (no re-run is
@@ -455,9 +444,10 @@ func (g *Trace) CheckSequence(label string, seq []Visit) *Verdict {
 }
 
 // CheckParallel runs s under the parallel executor described by cfg —
-// workers, spawn depth, static or stealing — and verifies the merged
-// execution is a legal permutation of the golden trace with every outer
-// column confined to a single worker. The oracle owns cfg.WrapWork (it
+// workers and spawn depth — and verifies the merged execution is a legal
+// permutation of the golden trace with every outer column confined to a
+// single worker. The cfg.Stealing and cfg.Engine labels select nothing; they
+// only reach the verdict text. The oracle owns cfg.WrapWork (it
 // installs per-worker visit recorders) and clears cfg.ForTask: the spec must
 // already be pure, so task-private state sharding is unnecessary.
 func (g *Trace) CheckParallel(s nest.Spec, cfg nest.RunConfig) (*Verdict, error) {

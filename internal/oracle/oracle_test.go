@@ -77,8 +77,8 @@ func TestVariantsEquivalentOnGeneratedSpaces(t *testing.T) {
 	}
 }
 
-// The parallel executors are oracle-checked permutations at several worker
-// counts, both static and stealing.
+// The parallel executor is an oracle-checked permutation at several worker
+// counts.
 func TestParallelSchedulesAreCheckedPermutations(t *testing.T) {
 	t.Parallel()
 	spec, desc := RandomSpec(7, 96)
@@ -87,16 +87,12 @@ func TestParallelSchedulesAreCheckedPermutations(t *testing.T) {
 		t.Fatalf("%s: %v", desc, err)
 	}
 	for _, workers := range []int{1, 4, 8} {
-		for _, stealing := range []bool{false, true} {
-			vd, err := g.CheckParallel(spec, nest.RunConfig{
-				Variant: nest.Twisted(), Workers: workers, Stealing: stealing,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !vd.OK {
-				t.Fatalf("%s: %v", desc, vd)
-			}
+		vd, err := g.CheckParallel(spec, nest.RunConfig{Variant: nest.Twisted(), Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !vd.OK {
+			t.Fatalf("%s: %v", desc, vd)
 		}
 	}
 }

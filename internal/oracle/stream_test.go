@@ -110,7 +110,7 @@ func TestStreamParallelTraceMatchesOracleMultiset(t *testing.T) {
 	run := spec
 	run.Work = func(o, i tree.NodeID) {}
 	cfg := nest.RunConfig{
-		Variant: nest.Twisted(), Workers: workers, Stealing: true,
+		Variant: nest.Twisted(), Workers: workers,
 		WrapWork: func(worker int, _ func(o, i tree.NodeID)) func(o, i tree.NodeID) {
 			sk := sinks[worker]
 			return func(o, i tree.NodeID) { in.Trace(o, i, sk.Emit) }

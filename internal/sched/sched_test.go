@@ -165,10 +165,10 @@ func TestRecordPropagatesSpecError(t *testing.T) {
 	}
 }
 
-// The parallel executors' per-worker traces must jointly be the reference
+// The parallel executor's per-worker traces must jointly be the reference
 // schedule, with every column whole and in order inside one worker — on
 // regular and irregular (outer-dependent truncation) spaces, for all four
-// variants and both executors. Run with -race in CI.
+// variants. Run with -race in CI.
 func TestCheckShardedParallelTraces(t *testing.T) {
 	t.Parallel()
 	outer, inner := tree.NewRandomBST(300, 1), tree.NewRandomBST(280, 2)
@@ -211,43 +211,30 @@ func TestCheckShardedParallelTraces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, stealing := range []bool{false, true} {
-				const workers = 4
+			for _, workers := range []int{1, 4} {
 				shards := make([][]Pair, workers)
-				e := nest.MustNew(s)
-				_, err := e.RunWith(nest.RunConfig{
-					Variant:  v,
-					Workers:  workers,
-					Stealing: stealing,
+				if _, err := nest.MustNew(s).RunWith(nest.RunConfig{
+					Variant: v,
+					Workers: workers,
 					WrapWork: func(w int, work func(o, i tree.NodeID)) func(o, i tree.NodeID) {
 						return func(o, i tree.NodeID) {
 							shards[w] = append(shards[w], Pair{O: o, I: i})
 							work(o, i)
 						}
 					},
-				})
-				if err != nil {
+				}); err != nil {
 					t.Fatal(err)
 				}
 				if err := CheckSharded(ref, shards); err != nil {
-					t.Fatalf("%s %v stealing=%v: %v", name, v, stealing, err)
+					t.Fatalf("%s %v w=%d: %v", name, v, workers, err)
 				}
-			}
-			// A single worker's trace is a full permutation; the sequential
-			// Check must accept it too.
-			one := make([][]Pair, 1)
-			e := nest.MustNew(s)
-			if _, err := e.RunWith(nest.RunConfig{Variant: v, Workers: 1, Stealing: true,
-				WrapWork: func(w int, work func(o, i tree.NodeID)) func(o, i tree.NodeID) {
-					return func(o, i tree.NodeID) {
-						one[w] = append(one[w], Pair{O: o, I: i})
-						work(o, i)
+				// A single worker's trace is a full permutation; the
+				// sequential Check must accept it too.
+				if workers == 1 {
+					if err := Check(ref, shards[0]); err != nil {
+						t.Fatalf("%s %v single-worker trace: %v", name, v, err)
 					}
-				}}); err != nil {
-				t.Fatal(err)
-			}
-			if err := Check(ref, one[0]); err != nil {
-				t.Fatalf("%s %v single-worker trace: %v", name, v, err)
+				}
 			}
 		}
 	}

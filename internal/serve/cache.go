@@ -73,15 +73,18 @@ func (c *resultCache) Put(digest string, body []byte) {
 	}
 }
 
-// Contains reports whether a digest is resident, without promoting the
-// entry or touching the hit/miss counters — the fleet router's peek: a
-// resident digest is served locally (the replica-cache read path) instead
-// of being forwarded.
-func (c *resultCache) Contains(digest string) bool {
+// peek returns the cached result bytes for a digest without promoting the
+// entry or touching the hit/miss counters. The fleet router uses it to serve
+// a resident digest locally (the replica-cache read path) instead of
+// forwarding it, and admission uses it for a second look that must leave
+// the statistics of the lookup it repeats untouched.
+func (c *resultCache) peek(digest string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.entries[digest]
-	return ok
+	if el, ok := c.entries[digest]; ok {
+		return el.Value.(*cacheEntry).body, true
+	}
+	return nil, false
 }
 
 // Len reports the current entry count.

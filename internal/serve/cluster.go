@@ -18,7 +18,7 @@ import (
 // and refuse each other's hops, and no stale bytes are ever admitted
 // (DESIGN.md §4.14). Bump it whenever a job result schema or the engine's
 // deterministic outputs change.
-const EngineVersion = "1"
+const EngineVersion = "2"
 
 // This file is twistd's fleet mode (DESIGN.md §4.14): when Config.Cluster
 // is set, every job request is routed by its canonical spec digest through
@@ -72,7 +72,7 @@ func (s *Server) clusterServe(w http.ResponseWriter, r *http.Request, kind Kind,
 	// admitted from an earlier forward — is served locally. This is what
 	// makes the admitted tier a replica: once the bytes landed here, the
 	// owner (and the network to it) is no longer needed to serve them.
-	if s.cache.Contains(digest) {
+	if _, ok := s.cache.peek(digest); ok {
 		s.rec.Count("serve.fleet.replica_hit", 1)
 		return false
 	}

@@ -36,7 +36,7 @@ type RunResult struct {
 	// under; omitted for the default build-order arena, so pre-layout
 	// responses are byte-identical.
 	Layout string `json:"layout,omitempty"`
-	// Engine is the visit engine the run executed on; omitted for the
+	// Engine echoes the request's visit-engine label; omitted for the
 	// default recursive engine, so pre-engine responses keep their shape.
 	Engine string `json:"engine,omitempty"`
 
@@ -51,10 +51,9 @@ type RunResult struct {
 	Ops   int64      `json:"ops"`
 
 	// EngineOps is the visit-engine overhead counter (nest.Exec.EngineOps):
-	// activation records for the recursive engine, drain-loop steps for the
-	// iterative one. Deterministic for a fixed spec — it is the response's
-	// schedule-overhead signal, and the axis the iterative engine exists to
-	// shrink (DESIGN.md §4.13).
+	// one per outer/inner recursion entry, Stats.OuterCalls +
+	// Stats.InnerCalls. Deterministic for a fixed spec — it is the
+	// response's schedule-overhead signal.
 	EngineOps int64 `json:"engine_ops"`
 
 	// Tasks is the parallel task count (1 for a sequential run).
@@ -101,10 +100,6 @@ func (s *RunSpec) exec(ctx context.Context, rec obs.Recorder) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := specEngine(s.Engine)
-	if err != nil {
-		return nil, err
-	}
 
 	res := &RunResult{
 		Workload: s.Workload, Variant: s.Variant, Scale: s.Scale, Seed: s.Seed,
@@ -116,17 +111,13 @@ func (s *RunSpec) exec(ctx context.Context, rec obs.Recorder) (any, error) {
 	// are deterministic across worker counts (fixed spawn depth), so the
 	// response body does not depend on scheduling.
 	if s.Workers <= 1 {
-		st, engOps, err := in.RunSeq(ctx, v, func(e *nest.Exec) {
-			e.Flags = fm
-			e.Engine = eng
-		})
+		st, engOps, err := in.RunSeq(ctx, v, func(e *nest.Exec) { e.Flags = fm })
 		if err != nil {
 			return nil, err
 		}
 		if rec != nil {
 			st.Record(rec, "nest")
 			rec.Count("nest.engine.ops", engOps)
-			rec.Count("nest.engine."+eng.String(), 1)
 		}
 		res.Stats = st
 		res.EngineOps = engOps
@@ -134,9 +125,7 @@ func (s *RunSpec) exec(ctx context.Context, rec obs.Recorder) (any, error) {
 	} else {
 		r, err := in.RunWith(nest.RunConfig{
 			Variant:  v,
-			Engine:   eng,
 			Workers:  s.Workers,
-			Stealing: true,
 			Ctx:      ctx,
 			Layout:   s.Layout,
 			Recorder: rec,
@@ -172,10 +161,7 @@ func (s *RunSpec) exec(ctx context.Context, rec obs.Recorder) (any, error) {
 	defer sim.Close()
 	tracedRun := func() error {
 		st := memsim.NewStream(sim, 0)
-		_, _, err := lin.RunSink(ctx, v, st.Sink(), func(e *nest.Exec) {
-			e.Flags = fm
-			e.Engine = eng
-		})
+		_, _, err := lin.RunSink(ctx, v, st.Sink(), func(e *nest.Exec) { e.Flags = fm })
 		st.Close()
 		return err
 	}
@@ -209,7 +195,7 @@ type MissCurveResult struct {
 	// Layout is the arena layout the distances were measured under; omitted
 	// for the default build-order arena (see RunResult.Layout).
 	Layout string `json:"layout,omitempty"`
-	// Engine is the visit engine the trace was produced on; omitted for the
+	// Engine echoes the request's visit-engine label; omitted for the
 	// default recursive engine (see RunResult.Engine).
 	Engine string `json:"engine,omitempty"`
 
@@ -255,11 +241,6 @@ func (s *MissCurveSpec) exec(ctx context.Context, rec obs.Recorder) (any, error)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := specEngine(s.Engine)
-	if err != nil {
-		return nil, err
-	}
-
 	lk, err := layout.ParseKind(s.Layout)
 	if err != nil {
 		return nil, err
@@ -273,7 +254,7 @@ func (s *MissCurveSpec) exec(ctx context.Context, rec obs.Recorder) (any, error)
 	h := memsim.NewHistogram()
 	line := memsim.Addr(s.LineBytes)
 	emit := func(a memsim.Addr) { h.Add(ra.Access(a / line)) }
-	if _, _, err := lin.RunEmit(ctx, v, emit, func(e *nest.Exec) { e.Engine = eng }); err != nil {
+	if _, _, err := lin.RunEmit(ctx, v, emit, nil); err != nil {
 		return nil, err
 	}
 	if rec != nil {
@@ -400,8 +381,8 @@ type OracleResult struct {
 	Variant  string `json:"variant"`
 	FlagMode string `json:"flag_mode"`
 	Subtree  bool   `json:"subtree"`
-	// Engine is the visit engine the check ran on; omitted for the default
-	// recursive engine (see RunResult.Engine).
+	// Engine echoes the request's visit-engine label; omitted for the
+	// default recursive engine (see RunResult.Engine).
 	Engine   string `json:"engine,omitempty"`
 	Workers  int    `json:"workers"`
 	Stealing bool   `json:"stealing"`
@@ -448,9 +429,11 @@ func (s *OracleSpec) exec(ctx context.Context, rec obs.Recorder) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := specEngine(s.Engine)
-	if err != nil {
-		return nil, err
+	eng := nest.EngineRecursive // "" is the elided default (normalizeEngine)
+	if s.Engine != "" {
+		if eng, err = nest.ParseEngine(s.Engine); err != nil {
+			return nil, err
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -492,15 +475,6 @@ func (s *OracleSpec) exec(ctx context.Context, rec obs.Recorder) (any, error) {
 		Detail:        verdict.String(),
 		Verdict:       verdict,
 	}, nil
-}
-
-// specEngine resolves a normalized spec's engine name ("" is the elided
-// recursive default, see normalizeEngine).
-func specEngine(name string) (nest.Engine, error) {
-	if name == "" {
-		return nest.EngineRecursive, nil
-	}
-	return nest.ParseEngine(name)
 }
 
 // parseVariantExpr resolves a normalized spec's schedule expression onto

@@ -59,61 +59,48 @@ func TestEngineDigestCanonicalization(t *testing.T) {
 	}
 }
 
-// TestDifferentialRunEngine extends the bit-identical-response contract to
-// the engine axis: an iterative run job serves exactly the direct library
-// call, reproduces every semantic column of its recursive twin — checksum,
-// stats, ops, tasks, simulated miss rates — and spends strictly fewer
-// engine ops on the twisted schedule (the counter the lowering exists to
-// shrink).
+// TestDifferentialRunEngine pins the engine label at the byte level: an
+// iterative run job serves exactly the direct library call, and that result
+// equals its recursive twin byte for byte except for the engine echo — the
+// label selects nothing (DESIGN.md §4.13).
 func TestDifferentialRunEngine(t *testing.T) {
 	t.Parallel()
 	_, ts := newTestServer(t, Config{Workers: 2, Queue: 64})
-	for _, workers := range []int{1, 4} {
-		baseSpec := RunSpec{Workload: "PC", Variant: "twisted", Scale: diffScale, Seed: diffSeed, Workers: workers}
-		base, err := RunJob(context.Background(), &baseSpec)
+	marshal := func(v any) []byte {
+		t.Helper()
+		b, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := RunSpec{
-			Workload: "PC", Variant: "twisted",
-			Scale: diffScale, Seed: diffSeed, Workers: workers, Engine: "iterative",
+		return b
+	}
+	for _, workers := range []int{1, 4} {
+		recSpec := RunSpec{Workload: "PC", Variant: "twisted", Scale: diffScale, Seed: diffSeed, Workers: workers}
+		spec := recSpec
+		spec.Engine = "iterative"
+		rec, err := RunJob(context.Background(), &recSpec)
+		if err != nil {
+			t.Fatal(err)
 		}
 		direct := spec
 		want, err := RunJob(context.Background(), &direct)
 		if err != nil {
 			t.Fatalf("direct RunJob: %v", err)
 		}
-		if want.Engine != "iterative" {
-			t.Errorf("result echoes engine %q, want \"iterative\"", want.Engine)
-		}
-		if want.Checksum != base.Checksum || want.Stats != base.Stats ||
-			want.Ops != base.Ops || want.Tasks != base.Tasks {
-			t.Errorf("workers=%d: iterative engine changed a semantic column:\n iter %+v\n rec  %+v",
-				workers, want, base)
-		}
-		for li := range want.MissRates {
-			if want.MissRates[li] != base.MissRates[li] {
-				t.Errorf("workers=%d: iterative engine moved simulated level %s", workers, want.MissRates[li].Level)
-			}
-		}
-		if want.EngineOps >= base.EngineOps {
-			t.Errorf("workers=%d: iterative engine ops %d not below recursive %d",
-				workers, want.EngineOps, base.EngineOps)
-		}
-		wantJSON, err := json.Marshal(want)
-		if err != nil {
-			t.Fatal(err)
+		twin := *want
+		twin.Engine = ""
+		if want.Engine != "iterative" || !bytes.Equal(marshal(&twin), marshal(rec)) {
+			t.Errorf("workers=%d: iterative result is not its recursive twin plus the engine echo\niter: %s\nrec:  %s",
+				workers, marshal(want), marshal(rec))
 		}
 		status, body := postJob(t, ts.URL, KindRun, spec)
 		if status != http.StatusOK {
 			t.Fatalf("status %d: %s", status, body)
 		}
 		env := decodeEnvelope(t, body)
-		if !bytes.Equal(env.Result, wantJSON) {
-			t.Errorf("served result differs from direct library call\nserved: %s\ndirect: %s", env.Result, wantJSON)
-		}
-		if env.Digest != Digest(&direct) {
-			t.Errorf("digest %s, want %s", env.Digest, Digest(&direct))
+		if !bytes.Equal(env.Result, marshal(want)) || env.Digest != Digest(&direct) {
+			t.Errorf("served result (digest %s) differs from direct library call (digest %s)\nserved: %s\ndirect: %s",
+				env.Digest, Digest(&direct), env.Result, marshal(want))
 		}
 	}
 }
@@ -153,29 +140,30 @@ func TestEngineCacheCoalescing(t *testing.T) {
 	}
 }
 
-// TestOracleEngineJobs runs the oracle job against the iterative engine,
-// sequentially and under the parallel executor: the lowering must be
-// invisible to the permutation-equivalence check, and the verdict label
-// must name the engine under test.
+// TestOracleEngineJobs pins the engine and stealing labels of oracle jobs at
+// the byte level: sequential and parallel jobs under the iterative label,
+// and a parallel job that asks for stealing:false, all pass on the one
+// engine and executor, echo their labels, and keep the verdict text such
+// jobs have always returned.
 func TestOracleEngineJobs(t *testing.T) {
 	t.Parallel()
-	for _, workers := range []int{0, 3} {
-		spec := OracleSpec{
-			Workload: "PC", Variant: "twisted", Scale: 512, Seed: diffSeed,
-			Engine: "iterative", Workers: workers, Stealing: workers > 0,
-		}
+	for _, c := range []struct {
+		spec   OracleSpec
+		detail string
+	}{
+		{OracleSpec{Engine: "iterative"}, "oracle: twisted flags=counter subtree=true engine=iterative: equivalent"},
+		{OracleSpec{Engine: "iterative", Workers: 3, Stealing: true}, "oracle: twisted workers=3 stealing=true engine=iterative: equivalent"},
+		{OracleSpec{Workers: 2}, "oracle: twisted workers=2 stealing=false: equivalent"},
+	} {
+		spec := c.spec
+		spec.Workload, spec.Variant, spec.Scale, spec.Seed = "PC", "twisted", 512, diffSeed
 		res, err := OracleJob(context.Background(), &spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.OK {
-			t.Errorf("workers=%d: iterative engine fails the oracle: %s", workers, res.Detail)
-		}
-		if res.Engine != "iterative" {
-			t.Errorf("workers=%d: result echoes engine %q, want \"iterative\"", workers, res.Engine)
-		}
-		if !bytes.Contains([]byte(res.Detail), []byte("engine=iterative")) {
-			t.Errorf("workers=%d: verdict label %q does not name the engine", workers, res.Detail)
+		if !res.OK || res.Detail != c.detail || res.Engine != c.spec.Engine || res.Stealing != c.spec.Stealing {
+			t.Errorf("ok=%v engine=%q stealing=%v detail %q; want ok=true engine=%q stealing=%v detail %q",
+				res.OK, res.Engine, res.Stealing, res.Detail, c.spec.Engine, c.spec.Stealing, c.detail)
 		}
 	}
 }

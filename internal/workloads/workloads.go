@@ -73,7 +73,7 @@ type Instance struct {
 	// access order (inner structure first, per the paper's examples).
 	Trace func(o, i tree.NodeID, emit func(memsim.Addr))
 
-	// ForTask derives a task-private Spec for the parallel executors (pass
+	// ForTask derives a task-private Spec for the parallel executor (pass
 	// it as nest.RunConfig.ForTask with the unmodified Spec as the base):
 	// scalar reductions go to per-task shards and pruning bounds start
 	// fresh, so each task's behaviour — and hence its Stats — is a pure
@@ -107,7 +107,7 @@ func (in *Instance) Run(v nest.Variant, fm nest.FlagMode) nest.Stats {
 }
 
 // RunSeq executes the instance sequentially under v on a fresh Exec,
-// applying configure (flag mode, engine, subtree truncation, ...) before the
+// applying configure (flag mode, subtree truncation, ...) before the
 // run. It is the single sequential entry point the harnesses (serve,
 // experiments, nestbench) drive instead of building raw Execs. It returns
 // the run's Stats with ExtraOps folded in, the engine-overhead counter

@@ -2,10 +2,9 @@ package twist
 
 // This file is the unified run surface: one entrypoint, Run, with
 // functional options. Sequential and parallel execution, schedule
-// selection, the visit-engine axis (DESIGN.md §4.13), carried measurement
-// dimensions (layout, simulation workers), and telemetry all route through
-// the same call, which builds on the Exec methods Run, RunContext, and
-// RunWith.
+// selection, carried measurement dimensions (layout, simulation workers),
+// and telemetry all route through the same call, which builds on the Exec
+// methods Run, RunContext, and RunWith.
 
 import (
 	"context"
@@ -15,26 +14,6 @@ import (
 	"twist/internal/nest"
 	"twist/internal/obs"
 )
-
-// Engine selects the visit-engine implementation: the recursive lowering of
-// the paper's transformed code, or the iterative explicit-stack lowering
-// that executes the identical schedule with a flat drain loop (DESIGN.md
-// §4.13). The two engines are bit-identical in Stats, results, and oracle
-// verdicts; the axis only moves the engine-overhead counter (RunResult.EngineOps).
-type Engine = nest.Engine
-
-// The visit engines. EngineRecursive is the default everywhere.
-const (
-	EngineRecursive = nest.EngineRecursive
-	EngineIterative = nest.EngineIterative
-)
-
-// ParseEngine parses an Engine from its String form ("recursive" or
-// "iterative").
-func ParseEngine(name string) (Engine, error) { return nest.ParseEngine(name) }
-
-// Engines returns all visit engines, recursive first.
-func Engines() []Engine { return nest.Engines() }
 
 // Recorder receives run telemetry; see internal/obs. Pass one to Run with
 // WithRecorder. Implementations must be safe for concurrent use.
@@ -67,33 +46,19 @@ func WithSchedule(s Schedule) RunOption {
 	return func(o *runOptions) { o.cfg.Variant = s.Variant() }
 }
 
-// WithEngine selects the visit engine (default EngineRecursive). Results,
-// Stats, and oracle verdicts are bit-identical across engines.
-func WithEngine(eng Engine) RunOption {
-	return func(o *runOptions) { o.cfg.Engine = eng }
-}
-
-// WithWorkers sets the worker count. n >= 1 selects the parallel executor
-// (work stealing by default; see WithStaticQueue) with the §7.3 spawn-depth
-// decomposition and exactly n workers — n = 1 included, as the determinism
-// baseline: merged Stats depend only on the spawn depth, never on n. The
-// decomposition requires Spec.Work and the truncation predicates to be safe
-// for concurrent calls on distinct outer subtrees. n <= 0 (like omitting
-// the option) keeps the sequential engine: one goroutine, no decomposition,
-// Tasks = 1 in the result. Pass runtime.GOMAXPROCS(0) explicitly to size to
-// the machine.
+// WithWorkers sets the worker count. n >= 1 selects the work-stealing
+// parallel executor with the §7.3 spawn-depth decomposition and exactly n
+// workers — n = 1 included, as the determinism baseline: merged Stats
+// depend only on the spawn depth, never on n. The decomposition requires
+// Spec.Work and the truncation predicates to be safe for concurrent calls
+// on distinct outer subtrees. n <= 0 (like omitting the option) keeps the
+// sequential engine: one goroutine, no decomposition, Tasks = 1 in the
+// result. Pass runtime.GOMAXPROCS(0) explicitly to size to the machine.
 func WithWorkers(n int) RunOption {
 	return func(o *runOptions) {
 		o.parallel = n >= 1
 		o.cfg.Workers = n
 	}
-}
-
-// WithStaticQueue selects the static task-queue executor instead of work
-// stealing for parallel runs (identical merged Stats; stealing balances
-// irregular spaces better). No effect on sequential runs.
-func WithStaticQueue() RunOption {
-	return func(o *runOptions) { o.cfg.Stealing = false }
 }
 
 // WithSpawnDepth sets the outer-tree depth of the §7.3 task decomposition
@@ -123,9 +88,9 @@ func WithContext(ctx context.Context) RunOption {
 }
 
 // WithRecorder attaches telemetry: the run's wall clock ("nest.run"), the
-// executor counters ("nest.tasks", "nest.workers", ...), the engine axis
-// ("nest.engine.ops", "nest.engine.<name>"), and the merged operation
-// counts (Stats.Record under "nest").
+// executor counters ("nest.tasks", "nest.workers", ...), the engine-overhead
+// counter ("nest.engine.ops"), and the merged operation counts
+// (Stats.Record under "nest").
 func WithRecorder(r Recorder) RunOption {
 	return func(o *runOptions) { o.cfg.Recorder = r }
 }
@@ -153,26 +118,24 @@ func WithSimWorkers(n int) RunOption {
 }
 
 // Run executes exec under the given options and returns the merged result.
-// With no options it is Exec.Run(Original()) — sequential, recursive
-// engine, no telemetry — and each option moves exactly one axis:
+// With no options it is Exec.Run(Original()) — sequential, no telemetry —
+// and each option moves exactly one axis:
 //
 //	res, err := twist.Run(exec,
 //		twist.WithSchedule(twist.MustParseSchedule("stripmine(64)∘twist(flagged)")),
-//		twist.WithEngine(twist.EngineIterative),
 //		twist.WithWorkers(8),
 //	)
 //
 // Sequential runs (the default, and any WithWorkers(n <= 0)) report
 // Workers = 1 and Tasks = 1; parallel runs report the §7.3 decomposition's
-// task and steal counts. Stats are bit-identical across engines, and — for
-// a fixed spawn depth — across worker counts and executors.
+// task and steal counts. For a fixed spawn depth, Stats are bit-identical
+// across worker counts.
 func Run(exec *Exec, opts ...RunOption) (RunResult, error) {
 	if exec == nil {
 		return RunResult{}, fmt.Errorf("twist: Run on a nil Exec")
 	}
 	var o runOptions
 	o.cfg.Variant = Original()
-	o.cfg.Stealing = true
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -204,7 +167,6 @@ func MustParseSchedule(expr string) Schedule {
 // telemetry contract of the parallel executor so callers see one uniform
 // surface.
 func runSequential(exec *Exec, cfg nest.RunConfig) (RunResult, error) {
-	exec.Engine = cfg.Engine
 	done := obs.Span(cfg.Recorder, "nest.run")
 	err := exec.RunContext(cfg.Ctx, cfg.Variant)
 	done()
@@ -220,7 +182,6 @@ func runSequential(exec *Exec, cfg nest.RunConfig) (RunResult, error) {
 		rec.Count("nest.steals", 0)
 		rec.Count("nest.workers", 1)
 		rec.Count("nest.engine.ops", res.EngineOps)
-		rec.Count("nest.engine."+cfg.Engine.String(), 1)
 		if cfg.SimWorkers > 0 {
 			rec.Count("nest.simworkers", int64(cfg.SimWorkers))
 		}

@@ -59,7 +59,7 @@ func TestRunMatchesExecRun(t *testing.T) {
 func TestRunMatchesRunWith(t *testing.T) {
 	legacySpec, legacySum := sumSpec(255)
 	want, err := twist.MustNew(legacySpec).RunWith(twist.RunConfig{
-		Variant: twist.Twisted(), Workers: 4, Stealing: true,
+		Variant: twist.Twisted(), Workers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,33 +82,25 @@ func TestRunMatchesRunWith(t *testing.T) {
 	}
 }
 
-// The engine axis through the facade: bit-identical Stats and results, with
-// the iterative engine's overhead counter strictly below the recursive one
-// on the twisted schedule (DESIGN.md §4.13).
+// What is left of the engine axis through the facade: one engine, whose
+// overhead counter is one per recursion entry — EngineOps = OuterCalls +
+// InnerCalls on sequential and parallel runs alike, published as the
+// "nest.engine.ops" telemetry counter (DESIGN.md §4.13).
 func TestRunEngineAxis(t *testing.T) {
-	recSpec, recSum := sumSpec(255)
-	rec, err := twist.Run(twist.MustNew(recSpec), twist.WithVariant(twist.Twisted()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	iterSpec, iterSum := sumSpec(255)
-	iter, err := twist.Run(twist.MustNew(iterSpec),
-		twist.WithVariant(twist.Twisted()), twist.WithEngine(twist.EngineIterative))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iter.Stats != rec.Stats || iterSum.Load() != recSum.Load() {
-		t.Errorf("engines diverge: iterative %+v sum=%d, recursive %+v sum=%d",
-			iter.Stats, iterSum.Load(), rec.Stats, recSum.Load())
-	}
-	if iter.EngineOps <= 0 || iter.EngineOps >= rec.EngineOps {
-		t.Errorf("iterative engine ops %d not below recursive %d", iter.EngineOps, rec.EngineOps)
-	}
-	if eng, err := twist.ParseEngine("iterative"); err != nil || eng != twist.EngineIterative {
-		t.Errorf("ParseEngine(iterative) = %v, %v", eng, err)
-	}
-	if got := twist.Engines(); len(got) != 2 || got[0] != twist.EngineRecursive {
-		t.Errorf("Engines() = %v", got)
+	for _, workers := range []int{0, 1, 4} {
+		spec, _ := sumSpec(255)
+		rec := &countRecorder{}
+		res, err := twist.Run(twist.MustNew(spec),
+			twist.WithVariant(twist.Twisted()), twist.WithWorkers(workers), twist.WithRecorder(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls := res.Stats.OuterCalls + res.Stats.InnerCalls; res.EngineOps != calls {
+			t.Errorf("workers=%d: engine ops %d, want OuterCalls+InnerCalls %d", workers, res.EngineOps, calls)
+		}
+		if rec.counts["nest.engine.ops"] != res.EngineOps {
+			t.Errorf("workers=%d: engine telemetry %v", workers, rec.counts)
+		}
 	}
 }
 
@@ -157,13 +149,13 @@ func (r *countRecorder) Time(name string, d time.Duration) {
 }
 
 // The sequential path honors the parallel executor's telemetry contract:
-// the same keys, with the engine axis and carried dimensions pinned.
+// the same keys, with the engine-overhead counter and carried dimensions
+// pinned.
 func TestRunTelemetryAndDimensions(t *testing.T) {
 	spec, _ := sumSpec(127)
 	rec := &countRecorder{}
 	res, err := twist.Run(twist.MustNew(spec),
 		twist.WithVariant(twist.Twisted()),
-		twist.WithEngine(twist.EngineIterative),
 		twist.WithLayout(twist.VEBLayout),
 		twist.WithSimWorkers(2),
 		twist.WithRecorder(rec),
@@ -172,12 +164,11 @@ func TestRunTelemetryAndDimensions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for key, want := range map[string]int64{
-		"nest.tasks":            1,
-		"nest.workers":          1,
-		"nest.engine.ops":       res.EngineOps,
-		"nest.engine.iterative": 1,
-		"nest.layout.veb":       1,
-		"nest.simworkers":       2,
+		"nest.tasks":      1,
+		"nest.workers":    1,
+		"nest.engine.ops": res.EngineOps,
+		"nest.layout.veb": 1,
+		"nest.simworkers": 2,
 	} {
 		if got := rec.counts[key]; got != want {
 			t.Errorf("%s = %d, want %d", key, got, want)
@@ -198,9 +189,6 @@ func TestRunTelemetryAndDimensions(t *testing.T) {
 		if key == "nest.layout.buildorder" {
 			t.Errorf("default layout leaked into telemetry: %v", rec2.counts)
 		}
-	}
-	if rec2.counts["nest.engine.recursive"] != 1 {
-		t.Errorf("default engine not pinned: %v", rec2.counts)
 	}
 }
 

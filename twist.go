@@ -35,9 +35,8 @@
 // The iteration order changes; the set of Work invocations (and, for
 // programs meeting the paper's soundness criterion, the program result)
 // does not. Run is the single entrypoint for every execution axis —
-// schedule (WithVariant / WithSchedule), visit engine (WithEngine),
-// parallelism (WithWorkers), telemetry (WithRecorder), cancellation
-// (WithContext) — see run.go.
+// schedule (WithVariant / WithSchedule), parallelism (WithWorkers),
+// telemetry (WithRecorder), cancellation (WithContext) — see run.go.
 package twist
 
 import (
@@ -142,18 +141,18 @@ func Twisted() Variant { return nest.Twisted() }
 // the tree held by the inner recursion is larger than cutoff.
 func TwistedCutoff(cutoff int) Variant { return nest.TwistedCutoff(cutoff) }
 
-// RunConfig configures a parallel run: the schedule variant, worker count,
-// spawn depth, executor choice (static queue or work stealing), optional
-// context cancellation, and the per-task Spec hooks. See Exec.RunWith.
+// RunConfig configures a parallel run on the work-stealing executor: the
+// schedule variant, worker count, spawn depth, optional context
+// cancellation, and the per-task Spec hooks. See Exec.RunWith.
 type RunConfig = nest.RunConfig
 
 // RunResult reports a parallel run: merged Stats (identical across worker
-// counts and executors for a fixed SpawnDepth), per-worker Stats, and task
-// and steal counts.
+// counts for a fixed SpawnDepth), per-worker Stats, and task and steal
+// counts.
 type RunResult = nest.RunResult
 
-// DefaultSpawnDepth is the outer-tree depth at which the parallel executors
-// stop splitting; see nest.DefaultSpawnDepth for why it is a constant.
+// DefaultSpawnDepth is the outer-tree depth at which the parallel executor
+// stops splitting; see nest.DefaultSpawnDepth for why it is a constant.
 const DefaultSpawnDepth = nest.DefaultSpawnDepth
 
 // Pair is one iteration of the space: an outer and an inner tree node.
