@@ -5,21 +5,31 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"time"
 )
 
 // Rule is one injected transport fault for traffic addressed to a node.
-// Zero value means "no fault". Exactly one of the fields is normally set:
-// Drop fails the request at the transport layer (a dead or partitioned
-// peer), Delay holds it before delivery (a slow link), Status short-
-// circuits with a synthesized HTTP error of that code (a sick peer).
+// Zero value means "no fault". Exactly one of Drop, Delay and Status is
+// normally set: Drop fails the request at the transport layer (a dead or
+// partitioned peer), Delay holds it before delivery (a slow link), Status
+// short-circuits with a synthesized HTTP error of that code (a sick peer).
+//
+// Path, when set, scopes the rule to requests whose URL path starts with it;
+// other traffic to the node passes untouched. JobPath scopes a fault to
+// forwarded jobs, so the background /clusterz prober keeps seeing the peer
+// healthy and cannot route around the fault before a forward meets it.
 type Rule struct {
 	Drop   bool
 	Delay  time.Duration
 	Status int
+	Path   string
 }
+
+// JobPath is the URL path prefix of every forwarded job (/v1/<kind>).
+const JobPath = "/v1/"
 
 // Faults is the fault-injection table every inter-node HTTP client in a
 // Fleet routes through: rules are keyed by target node ID and applied in
@@ -66,15 +76,20 @@ func (f *Faults) ClearAll() {
 	f.mu.Unlock()
 }
 
-// rule resolves the rule for a request host ("" ID when unknown).
-func (f *Faults) rule(host string) (string, Rule) {
+// rule resolves the rule for a request URL ("" ID when the host is
+// unknown); a rule scoped to another path resolves to no fault.
+func (f *Faults) rule(u *url.URL) (string, Rule) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	id, ok := f.addrID[host]
+	id, ok := f.addrID[u.Host]
 	if !ok {
 		return "", Rule{}
 	}
-	return id, f.rules[id]
+	r := f.rules[id]
+	if !strings.HasPrefix(u.Path, r.Path) {
+		return id, Rule{}
+	}
+	return id, r
 }
 
 // Client returns an *http.Client whose transport applies the fault table
@@ -91,7 +106,7 @@ type faultTransport struct {
 
 // RoundTrip implements http.RoundTripper.
 func (t *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	id, r := t.faults.rule(req.URL.Host)
+	id, r := t.faults.rule(req.URL)
 	if r.Drop {
 		return nil, fmt.Errorf("clustertest: injected drop to %s: %w", id, errors.New("connection refused"))
 	}

@@ -168,6 +168,25 @@ func TestHarnessFaultRules(t *testing.T) {
 		t.Errorf("status %d, want 502", resp.StatusCode)
 	}
 
+	// Path: a job-scoped fault answers jobs and lets every other path through.
+	f.Faults.Set("n1", clustertest.Rule{Status: http.StatusBadGateway, Path: clustertest.JobPath})
+	resp, err = client.Get(f.Nodes[1].URL + clustertest.JobPath + string(serve.KindRun))
+	if err != nil {
+		t.Fatalf("job-scoped fault errored: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Errorf("job path status %d, want 502", resp.StatusCode)
+	}
+	resp, err = client.Get(f.Nodes[1].URL + "/clusterz")
+	if err != nil {
+		t.Fatalf("probe under a job-scoped fault errored: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("probe under a job-scoped fault answered %d, want 200", resp.StatusCode)
+	}
+
 	// Delay: the request completes after the hold.
 	f.Faults.Set("n1", clustertest.Rule{Delay: 20 * time.Millisecond})
 	begin := time.Now()

@@ -251,7 +251,14 @@ func TestFleetTransportFaults(t *testing.T) {
 	ownerID := f.Nodes[owner].ID
 	want := directBytes(t, spec)
 
-	f.Faults.Set(ownerID, clustertest.Rule{Status: http.StatusServiceUnavailable})
+	// The owner answers 503 to jobs only. A 503 on its /clusterz would let
+	// a prober tick mark it down first, and the forward this test counts
+	// would then never be tried; the explicit probe below is such a tick.
+	f.Faults.Set(ownerID, clustertest.Rule{Status: http.StatusServiceUnavailable, Path: clustertest.JobPath})
+	f.Nodes[fwd].Cluster.ProbeOnce(context.Background())
+	if f.Nodes[fwd].Cluster.Membership().IsDown(ownerID) {
+		t.Fatal("a probe marked the owner down: the fault reached /clusterz")
+	}
 	env := f.PostEnvelope(t, fwd, serve.KindRun, spec)
 	if !bytes.Equal(env.Result, want) {
 		t.Error("bytes differ with owner answering 503")

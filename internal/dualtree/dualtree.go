@@ -62,33 +62,49 @@ func (p *PC) Spec() nest.Spec { return p.SpecInto(&p.Count, &p.PairOps) }
 // runs use it to give each task a private (count, pairOps) shard, summed
 // after the run; the template is otherwise identical to Spec's.
 func (p *PC) SpecInto(count, pairOps *int64) nest.Spec {
-	selfJoin := p.Query == p.Ref
+	q, r, r2 := p.Query, p.Ref, p.R2
+	selfJoin := q == r
 	return nest.Spec{
-		Outer:      p.Query.Topo,
-		Inner:      p.Ref.Topo,
+		Outer:      q.Topo,
+		Inner:      r.Topo,
 		Hereditary: true,
 		TruncInner2: func(o, i tree.NodeID) bool {
-			return p.Query.MinDist2(o, p.Ref, i) > p.R2
+			return q.MinDist2(o, r, i) > r2
 		},
 		Work: func(o, i tree.NodeID) {
-			if !p.Query.Topo.IsLeaf(o) || !p.Ref.Topo.IsLeaf(i) {
+			if !q.Topo.IsLeaf(o) || !r.Topo.IsLeaf(i) {
 				return
 			}
-			qs := p.Query.NodePoints(o)
-			rs := p.Ref.NodePoints(i)
+			qs, rs := q.NodePoints(o), r.NodePoints(i)
 			*pairOps += int64(len(qs)) * int64(len(rs))
-			for qk, q := range qs {
-				for rk, r := range rs {
-					if selfJoin && p.Query.Perm[int(p.Query.Start[o])+qk] == p.Ref.Perm[int(p.Ref.Start[i])+rk] {
-						continue
-					}
-					if geom.Dist2(q, r) <= p.R2 {
-						*count++
-					}
-				}
-			}
+			*count += pcLeaves(qs, rs, r2, selfJoin && o == i)
 		},
 	}
+}
+
+// pcLeaves is PC's base case on one leaf pair: the number of in-radius
+// pairs, less the diagonal qk == rk when diag is set. In a self-join the
+// diagonal of a leaf paired with itself holds exactly the self pairs, since
+// Perm is a bijection and distinct leaves own disjoint point ranges.
+func pcLeaves(qs, rs []geom.Point, r2 float64, diag bool) int64 {
+	var n int64
+	for qk := range qs {
+		q := &qs[qk]
+		for rk := range rs {
+			if q.Dist2(&rs[rk]) <= r2 {
+				n++
+			}
+		}
+	}
+	if diag {
+		// Take back the self pairs the loop counted, by the same test.
+		for k := range qs {
+			if qs[k].Dist2(&rs[k]) <= r2 {
+				n--
+			}
+		}
+	}
+	return n
 }
 
 // BrutePC is the oracle: counts in-radius pairs by exhaustive comparison.
@@ -172,27 +188,33 @@ func (nn *NN) Spec() nest.Spec { return nn.SpecInto(nn.bound, &nn.PairOps) }
 // shard. BestD/BestI stay shared: distinct outer subtrees touch disjoint
 // query points, so concurrent tasks never write the same cell.
 func (nn *NN) SpecInto(bound []float64, pairOps *int64) nest.Spec {
+	q, r := nn.Query, nn.Ref
 	return nest.Spec{
-		Outer:      nn.Query.Topo,
-		Inner:      nn.Ref.Topo,
+		Outer:      q.Topo,
+		Inner:      r.Topo,
 		Hereditary: true,
 		TruncInner2: func(o, i tree.NodeID) bool {
-			return nn.Query.MinDist2(o, nn.Ref, i) > bound[o]
+			return q.MinDist2(o, r, i) > bound[o]
 		},
 		Work: func(o, i tree.NodeID) {
-			if !nn.Query.Topo.IsLeaf(o) || !nn.Ref.Topo.IsLeaf(i) {
+			if !q.Topo.IsLeaf(o) || !r.Topo.IsLeaf(i) {
 				return
 			}
-			qs := nn.Query.NodePoints(o)
-			rs := nn.Ref.NodePoints(i)
+			qs, rs := q.NodePoints(o), r.NodePoints(i)
 			*pairOps += int64(len(qs)) * int64(len(rs))
+			qPerm, rPerm := q.NodePerm(o), r.NodePerm(i)
 			newBound := 0.0
-			for qk, q := range qs {
-				qi := nn.Query.Perm[int(nn.Query.Start[o])+qk]
+			for qk := range qs {
+				qp, qi := &qs[qk], qPerm[qk]
 				bd, bi := nn.BestD[qi], nn.BestI[qi]
-				for rk, r := range rs {
-					ri := nn.Ref.Perm[int(nn.Ref.Start[i])+rk]
-					if d := geom.Dist2(q, r); better(d, ri, bd, bi) {
+				for rk := range rs {
+					// A candidate farther than the current best cannot
+					// win, so its original index is never loaded.
+					d := qp.Dist2(&rs[rk])
+					if d > bd {
+						continue
+					}
+					if ri := rPerm[rk]; better(d, ri, bd, bi) {
 						bd, bi = d, ri
 					}
 				}
@@ -201,7 +223,7 @@ func (nn *NN) SpecInto(bound []float64, pairOps *int64) nest.Spec {
 					newBound = bd
 				}
 			}
-			tighten(nn.Query.Topo, bound, o, newBound)
+			tighten(q.Topo, bound, o, newBound)
 		},
 	}
 }

@@ -2,6 +2,7 @@ package dualtree
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"twist/internal/geom"
@@ -228,6 +229,43 @@ func TestDuplicatePointsNNDeterministic(t *testing.T) {
 			if nn.BestD[k] != wantD[k] || nn.BestI[k] != wantI[k] {
 				t.Fatalf("%v: duplicate-point query %d got (%v,%d), want (%v,%d)",
 					v, k, nn.BestD[k], nn.BestI[k], wantD[k], wantI[k])
+			}
+		}
+	}
+}
+
+func TestDuplicatePointsKNNDeterministic(t *testing.T) {
+	// Every point three times: candidates tie the current kth distance, and
+	// one with a smaller index must still displace the heap's top, so the
+	// kernel may skip only strictly farther candidates.
+	base := geom.Generate(geom.Uniform, 50, 16)
+	pts := slices.Concat(base, base, base)
+	builds := map[string]func() *spatial.Index{
+		"kd": func() *spatial.Index { return kdtree.MustBuild(pts, 4) },
+		"vp": func() *spatial.Index { return vptree.MustBuild(pts, 4, 17) },
+	}
+	for name, build := range builds {
+		for _, selfJoin := range []bool{true, false} {
+			q, r := build(), build()
+			if selfJoin {
+				r = q
+			}
+			for _, k := range []int{5, 10} {
+				wantD, wantI := BruteKNN(pts, pts, k, selfJoin)
+				kn := NewKNN(q, r, k)
+				for _, v := range allVariants {
+					for _, fm := range []nest.FlagMode{nest.FlagSets, nest.FlagCounter} {
+						kn.Reset()
+						runSpec(t, kn.Spec(), v, fm)
+						for qi := range pts {
+							gotD, gotI := kn.Result(qi)
+							if !slices.Equal(gotD, wantD[qi]) || !slices.Equal(gotI, wantI[qi]) {
+								t.Fatalf("%s self=%v k=%d %v/%v: query %d got (%v,%v), want (%v,%v)",
+									name, selfJoin, k, v, fm, qi, gotD, gotI, wantD[qi], wantI[qi])
+							}
+						}
+					}
+				}
 			}
 		}
 	}

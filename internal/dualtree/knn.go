@@ -102,6 +102,9 @@ type KNN struct {
 	// subtree (infinite until every point there has k candidates).
 	bound []float64
 
+	// block backs every heap: Heaps[q] owns block[q*K : (q+1)*K].
+	block []neighbor
+
 	selfJoin bool
 }
 
@@ -113,11 +116,17 @@ func NewKNN(query, ref *spatial.Index, k int) *KNN {
 	return kn
 }
 
-// Reset clears results and bounds between runs.
+// Reset clears results and bounds between runs. It allocates only on the
+// first call: the heaps are truncated in place over one shared block.
 func (kn *KNN) Reset() {
-	kn.Heaps = make([]kheap, kn.Query.Len())
+	if kn.Heaps == nil {
+		n := kn.Query.Len()
+		kn.Heaps = make([]kheap, n)
+		kn.block = make([]neighbor, n*kn.K)
+	}
 	for q := range kn.Heaps {
-		kn.Heaps[q] = kheap{k: kn.K, ns: make([]neighbor, 0, kn.K)}
+		// The capped slice keeps each heap's appends inside its own K cells.
+		kn.Heaps[q] = kheap{k: kn.K, ns: kn.block[q*kn.K : q*kn.K : (q+1)*kn.K]}
 	}
 	// Cleared in place: Spec closures capture the slice, so reallocating
 	// here would leave them tightening a stale array across runs.
@@ -137,36 +146,45 @@ func (kn *KNN) Spec() nest.Spec { return kn.SpecInto(kn.bound, &kn.PairOps) }
 // the caller; see NN.SpecInto for the parallel-sharding rationale. Heaps
 // stay shared — distinct outer subtrees hold disjoint query points.
 func (kn *KNN) SpecInto(bound []float64, pairOps *int64) nest.Spec {
+	q, r := kn.Query, kn.Ref
+	selfJoin := kn.selfJoin
 	return nest.Spec{
-		Outer:      kn.Query.Topo,
-		Inner:      kn.Ref.Topo,
+		Outer:      q.Topo,
+		Inner:      r.Topo,
 		Hereditary: true,
 		TruncInner2: func(o, i tree.NodeID) bool {
-			return kn.Query.MinDist2(o, kn.Ref, i) > bound[o]
+			return q.MinDist2(o, r, i) > bound[o]
 		},
 		Work: func(o, i tree.NodeID) {
-			if !kn.Query.Topo.IsLeaf(o) || !kn.Ref.Topo.IsLeaf(i) {
+			if !q.Topo.IsLeaf(o) || !r.Topo.IsLeaf(i) {
 				return
 			}
-			qs := kn.Query.NodePoints(o)
-			rs := kn.Ref.NodePoints(i)
+			qs, rs := q.NodePoints(o), r.NodePoints(i)
 			*pairOps += int64(len(qs)) * int64(len(rs))
+			// Self pairs sit on the diagonal of a leaf paired with itself;
+			// see pcLeaves.
+			diag := selfJoin && o == i
+			qPerm, rPerm := q.NodePerm(o), r.NodePerm(i)
 			newBound := 0.0
-			for qk, q := range qs {
-				qi := kn.Query.Perm[int(kn.Query.Start[o])+qk]
-				h := &kn.Heaps[qi]
-				for rk, r := range rs {
-					ri := kn.Ref.Perm[int(kn.Ref.Start[i])+rk]
-					if kn.selfJoin && ri == qi {
+			for qk := range qs {
+				qp, h := &qs[qk], &kn.Heaps[qPerm[qk]]
+				kth := h.kth()
+				for rk := range rs {
+					// A candidate farther than the kth best cannot enter
+					// the heap; one at exactly the kth distance still can,
+					// on a smaller index, so it goes to offer.
+					d := qp.Dist2(&rs[rk])
+					if d > kth || diag && qk == rk {
 						continue
 					}
-					h.offer(neighbor{d: geom.Dist2(q, r), idx: ri})
+					h.offer(neighbor{d: d, idx: rPerm[rk]})
+					kth = h.kth()
 				}
-				if kb := h.kth(); kb > newBound {
-					newBound = kb
+				if kth > newBound {
+					newBound = kth
 				}
 			}
-			tighten(kn.Query.Topo, bound, o, newBound)
+			tighten(q.Topo, bound, o, newBound)
 		},
 	}
 }

@@ -23,14 +23,22 @@ type Point [Dim]float64
 // Dist2 returns the squared Euclidean distance between p and q. All pruning
 // and neighbor comparisons work in squared distances to avoid sqrt in hot
 // loops; distances are exposed to users via math.Sqrt at the boundary.
-func Dist2(p, q Point) float64 {
-	var s float64
-	for d := 0; d < Dim; d++ {
-		diff := p[d] - q[d]
-		s += diff * diff
-	}
-	return s
+func Dist2(p, q Point) float64 { return p.Dist2(&q) }
+
+// Dist2 is the squared Euclidean distance from p to q read in place, for
+// base-case loops that would otherwise copy two points per pair. It is the
+// one definition of the metric, so every caller rounds alike: each square
+// is rounded on its own (the conversions forbid fusing a multiply into the
+// add) and the sum associates as (dx²+dy²)+dz². Pair counts, neighbor ties
+// and vp-tree splits all depend on that rounding.
+func (p *Point) Dist2(q *Point) float64 {
+	dx, dy, dz := p[0]-q[0], p[1]-q[1], p[2]-q[2]
+	return float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 }
+
+// Point.Dist2 spells out three coordinates; this fails to compile if Dim
+// changes.
+var _ = [1]struct{}{}[Dim-3]
 
 // Dist returns the Euclidean distance between p and q.
 func Dist(p, q Point) float64 { return math.Sqrt(Dist2(p, q)) }
@@ -92,13 +100,14 @@ func (b Box) LongestAxis() (axis int, width float64) {
 	return axis, width
 }
 
-// MinDist2 returns the squared minimum distance between any point of a and
+// MinDist2 returns the squared minimum distance between any point of b and
 // any point of o (0 if the boxes overlap). This is the lower bound used by
 // dual-tree Score functions: if MinDist2 exceeds the search radius/bound, the
-// node pair is pruned — the truncateInner2?(o,i) of the paper's template.
-func (b Box) MinDist2(o Box) float64 {
+// node pair is pruned — the truncateInner2?(o,i) of the paper's template. It
+// runs once per visited node pair, so both boxes are read in place.
+func (b *Box) MinDist2(o *Box) float64 {
 	var s float64
-	for d := 0; d < Dim; d++ {
+	for d := range Dim {
 		var gap float64
 		if b.Max[d] < o.Min[d] {
 			gap = o.Min[d] - b.Max[d]

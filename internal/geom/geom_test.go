@@ -15,6 +15,28 @@ func randPoint(rng *rand.Rand, scale float64) Point {
 	return p
 }
 
+// TestDist2AssociationOrder pins the metric's rounding to the per-axis
+// accumulation ((0+dx²)+dy²)+dz² of rounded squares, bit for bit, in both
+// the value and the in-place form: pair counts, neighbor ties and vp-tree
+// splits all depend on it.
+func TestDist2AssociationOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for k := 0; k < 20000; k++ {
+		p, q := randPoint(rng, math.Pow(10, float64(rng.Intn(9)-4))), randPoint(rng, 1)
+		var want float64
+		for d := 0; d < Dim; d++ {
+			diff := p[d] - q[d]
+			want += float64(diff * diff)
+		}
+		if got := Dist2(p, q); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Dist2(%v, %v) = %v, per-axis sum %v", p, q, got, want)
+		}
+		if got := p.Dist2(&q); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("(%v).Dist2(%v) = %v, per-axis sum %v", p, q, got, want)
+		}
+	}
+}
+
 func TestDistSymmetricAndNonNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for k := 0; k < 200; k++ {
@@ -102,7 +124,7 @@ func TestMinMaxDistBoundEveryPair(t *testing.T) {
 			bs[i] = randPoint(rng, 4)
 		}
 		ba, bb := BoxOf(as), BoxOf(bs)
-		lo, hi := ba.MinDist2(bb), ba.MaxDist2(bb)
+		lo, hi := ba.MinDist2(&bb), ba.MaxDist2(bb)
 		for _, p := range as {
 			for _, q := range bs {
 				d := Dist2(p, q)
@@ -120,10 +142,10 @@ func TestMinMaxDistBoundEveryPair(t *testing.T) {
 func TestMinDistOverlappingBoxesIsZero(t *testing.T) {
 	a := BoxOf([]Point{{0, 0, 0}, {2, 2, 2}})
 	b := BoxOf([]Point{{1, 1, 1}, {3, 3, 3}})
-	if got := a.MinDist2(b); got != 0 {
+	if got := a.MinDist2(&b); got != 0 {
 		t.Fatalf("overlapping MinDist2 = %v", got)
 	}
-	if got := a.MinDist2(a); got != 0 {
+	if got := a.MinDist2(&a); got != 0 {
 		t.Fatalf("self MinDist2 = %v", got)
 	}
 }
@@ -131,11 +153,11 @@ func TestMinDistOverlappingBoxesIsZero(t *testing.T) {
 func TestMinDistDisjointBoxes(t *testing.T) {
 	a := BoxOf([]Point{{0, 0, 0}, {1, 1, 1}})
 	b := BoxOf([]Point{{4, 0, 0}, {5, 1, 1}})
-	if got, want := a.MinDist2(b), 9.0; math.Abs(got-want) > 1e-12 {
+	if got, want := a.MinDist2(&b), 9.0; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("MinDist2 = %v, want %v", got, want)
 	}
 	// Symmetric.
-	if a.MinDist2(b) != b.MinDist2(a) {
+	if a.MinDist2(&b) != b.MinDist2(&a) {
 		t.Fatal("MinDist2 not symmetric")
 	}
 }

@@ -149,7 +149,7 @@ func (oc *Octree) NodePoints(n NodeID) []geom.Point {
 // MinDist2 is the squared minimum box distance between node a of oc and node
 // b of other — the dual-tree Score bound.
 func (oc *Octree) MinDist2(a NodeID, other *Octree, b NodeID) float64 {
-	return oc.Boxes[a].MinDist2(other.Boxes[b])
+	return oc.Boxes[a].MinDist2(&other.Boxes[b])
 }
 
 // PCSpec assembles dual-tree point correlation over two octrees as a k-ary

@@ -45,13 +45,19 @@ func (ix *Index) NodePoints(n tree.NodeID) []geom.Point {
 	return ix.Points[ix.Start[n]:ix.End[n]]
 }
 
+// NodePerm returns the original indices of the points NodePoints(n)
+// returns, position for position.
+func (ix *Index) NodePerm(n tree.NodeID) []int32 {
+	return ix.Perm[ix.Start[n]:ix.End[n]]
+}
+
 // Count returns how many points node n's subtree owns.
 func (ix *Index) Count(n tree.NodeID) int32 { return ix.End[n] - ix.Start[n] }
 
 // MinDist2 returns a lower bound on the squared distance between any point
 // of node a in ix and any point of node b in other.
 func (ix *Index) MinDist2(a tree.NodeID, other *Index, b tree.NodeID) float64 {
-	return ix.Boxes[a].MinDist2(other.Boxes[b])
+	return ix.Boxes[a].MinDist2(&other.Boxes[b])
 }
 
 // MaxDist2 returns an upper bound on the squared distance between any point

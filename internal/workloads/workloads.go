@@ -255,11 +255,13 @@ func TreeJoin(n int, seed int64) *Instance {
 			Outer: outer,
 			Inner: inner,
 			Work: func(o, i tree.NodeID) {
-				c.works++
 				vo, vi := &valO[o], &valI[i]
-				for w := 0; w < 8; w++ {
-					c.sum += vo[w] * vi[w]
+				var sum uint64
+				for w := range vo {
+					sum += vo[w] * vi[w]
 				}
+				c.sum += sum
+				c.works++
 			},
 		}
 	}
