@@ -14,7 +14,7 @@
 //	nestbench -exp iters                 # §4.2 iteration counts
 //	nestbench -exp inventory             # benchmark inventory (§6.1)
 //	nestbench -exp layout                # arena layout × schedule miss rates
-//	nestbench -exp bench -variant ...    # suite under one schedule
+//	nestbench -exp bench -schedule ...   # suite under one schedule
 //	nestbench -exp bench -layout veb     # ... under a repacked arena layout
 //	nestbench -oracle                    # semantic-equivalence smoke (§4.9)
 //
@@ -67,8 +67,7 @@ type opts struct {
 	repeats    int
 	workers    int
 	simWorkers int
-	variant    nest.Variant
-	raw        string // -variant as typed, for params
+	variant    nest.Variant // -schedule, lowered onto the engine
 	layout     layout.Kind
 }
 
@@ -96,7 +95,7 @@ var registry = []experiment{
 	{"kary", "kary: octree (8-ary) point correlation extension (§2.1 generality)", "-pcn -seed -geometry", true, kary},
 	{"layout", "layout: arena layout × schedule miss rates (DESIGN.md §4.12)", "-scale -seed -simworkers -geometry", true, layoutExp},
 	{"iters", "iters: §4.2 iteration counts, PC", "-pcn -radius -seed", true, iters},
-	{"bench", "bench: suite under one schedule", "-scale -seed -repeats -workers -variant -layout", false, bench},
+	{"bench", "bench: suite under one schedule", "-scale -seed -repeats -workers -schedule -layout", false, bench},
 	{"oracle", "oracle: semantic-equivalence smoke (DESIGN.md §4.9)", "-scale -seed -workers", false, oracleSmoke},
 	{"schedules", "schedules: algebra enumeration, legality × oracle", "-scale -seed", false, schedulesExp},
 }
@@ -154,8 +153,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers    = fs.Int("workers", 0, "parallel dimension (see -h flag matrix): 0 = off")
 		simWorkers = fs.Int("simworkers", 1, "cache-simulation shard workers: <= 1 sequential, > 1 set-partitioned parallel engine (stats bit-identical either way)")
 		geometry   = fs.String("geometry", "", "simulated cache hierarchy, e.g. \"32K/64:8,256K/64:8,20M/64:20\" (empty = scaled default)")
-		variant    = fs.String("variant", "twisted", "schedule for -exp bench, legacy variant form (original, interchanged, twisted, twisted-cutoff[:N]); alias for -schedule")
-		schedule   = fs.String("schedule", "", "schedule for -exp bench as an algebra expression, e.g. \"stripmine(64)\u2218twist(flagged)\" (mutually exclusive with -variant)")
+		schedule   = fs.String("schedule", "twisted", "schedule for -exp bench as an algebra expression, e.g. \"twisted-cutoff:64\" or \"stripmine(64)\u2218twist(flagged)\"")
 		layoutF    = fs.String("layout", "", "arena layout for -exp bench: buildorder, hotcold, preorder, schedule, veb (empty = legacy build-order)")
 		oracleRun  = fs.Bool("oracle", false, "shorthand for -exp oracle: semantic-equivalence smoke over the suite")
 		jsonOut    = fs.String("json", "", "write BENCH_<exp>.json report(s): a file path for one experiment, a directory when several run")
@@ -178,13 +176,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *oracleRun {
 		*exp = "oracle"
 	}
-	scaleSet, variantSet := false, false
+	scaleSet := false
 	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "scale":
+		if f.Name == "scale" {
 			scaleSet = true
-		case "variant":
-			variantSet = true
 		}
 	})
 
@@ -202,19 +197,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	expr := *variant
-	if *schedule != "" {
-		if variantSet {
-			return usageFail("-schedule and -variant are mutually exclusive")
-		}
-		expr = *schedule
-	}
-	sched, err := algebra.ParseSchedule(expr)
+	sched, err := algebra.ParseSchedule(*schedule)
 	if err != nil {
 		return usageFail("%v", err)
 	}
 	if sched.InlineDepth() > 0 {
-		return usageFail("inline(K) is a code-generation transformation; the engine cannot execute %q (use cmd/twist -schedules)", expr)
+		return usageFail("inline(K) is a code-generation transformation; the engine cannot execute %q (use cmd/twist -schedules)", *schedule)
 	}
 	v := sched.Variant()
 	lk, err := layout.ParseKind(*layoutF)
@@ -231,7 +219,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	o := opts{
 		scale: *scale, scaleSet: scaleSet, n: *n, pcN: *pcN, radius: *radius,
 		seed: *seed, repeats: *repeats, workers: *workers, simWorkers: *simWorkers,
-		variant: v, raw: expr, layout: lk,
+		variant: v, layout: lk,
 	}
 
 	var selected []experiment
@@ -383,7 +371,7 @@ func params(o opts, keys ...string) map[string]string {
 			// The resolved geometry, not the raw flag: a baseline pins the
 			// hierarchy it was measured on even when the flag was defaulted.
 			out[k] = experiments.GeometryString()
-		case "variant":
+		case "schedule":
 			out[k] = o.variant.String()
 		case "layout":
 			out[k] = o.layout.String()
@@ -470,7 +458,7 @@ func bench(o opts) (*obs.Report, error) {
 	if repeats < 1 {
 		repeats = 1
 	}
-	rep := obs.NewReport("bench", params(o, "scale", "seed", "repeats", "workers", "variant", "layout"))
+	rep := obs.NewReport("bench", params(o, "scale", "seed", "repeats", "workers", "schedule", "layout"))
 	w := table()
 	fmt.Fprintln(w, "bench\tschedule\twall\titerations\twork\tchecksum")
 	for _, in := range workloads.Suite(o.scale, o.seed) {

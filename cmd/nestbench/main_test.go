@@ -37,9 +37,17 @@ func TestExitCodes(t *testing.T) {
 		},
 		{
 			name:      "bad variant",
-			args:      []string{"-exp", "bench", "-variant", "sideways"},
+			args:      []string{"-exp", "bench", "-schedule", "sideways"},
 			code:      2,
 			wantErr:   "sideways",
+			wantUsage: true,
+		},
+		{
+			// -schedule is the one schedule flag; the old alias is gone.
+			name:      "variant flag removed",
+			args:      []string{"-exp", "bench", "-variant", "twisted"},
+			code:      2,
+			wantErr:   "flag provided but not defined: -variant",
 			wantUsage: true,
 		},
 		{

@@ -8,6 +8,8 @@
 //	spaceviz                       # 7x7 paper example, all schedules
 //	spaceviz -height 3             # 15x15 trees
 //	spaceviz -schedule twisted     # one schedule only
+//	spaceviz -schedule twisted-cutoff:2
+//	                               # twisting with the §7.1 cutoff
 //	spaceviz -irregular            # the Fig 6(a) irregular space
 package main
 
@@ -26,7 +28,6 @@ func main() {
 	var (
 		height    = flag.Int("height", 2, "height of both perfect trees (2 gives the paper's 7-node example)")
 		schedule  = flag.String("schedule", "all", "schedule: all, or any schedule-algebra expression (original, interchanged, twisted, twisted-cutoff[:N], stripmine(N)\u2218twist(flagged), ...)")
-		cutoff    = flag.Int("cutoff", -1, "if >= 0, render twisted-with-cutoff instead of parameterless twisting")
 		irregular = flag.Bool("irregular", false, "apply the Fig 6(a) truncation: skip (B,2) and its descendants")
 		order     = flag.Bool("order", false, "also print the schedule as a (label,label) sequence")
 	)
@@ -51,14 +52,6 @@ func main() {
 			os.Exit(2)
 		}
 		variants = []nest.Variant{sc.Variant()}
-	}
-	if *cutoff >= 0 {
-		// Back-compat: -cutoff upgrades the plain twisted schedule.
-		for k, v := range variants {
-			if v == nest.Twisted() {
-				variants[k] = nest.TwistedCutoff(*cutoff)
-			}
-		}
 	}
 
 	for _, v := range variants {

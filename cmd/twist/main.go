@@ -16,7 +16,7 @@
 //	twist -in join.go                  # writes join_twisted.go
 //	twist -in join.go -out sched.go    # explicit output path
 //	twist -in join.go -stdout          # print to stdout
-//	twist -in join.go -variants twisted
+//	twist -in join.go -schedules twisted
 //	                                   # emit only one schedule family
 //	twist -in join.go -schedules 'inline(2)∘twist(flagged)'
 //	                                   # schedule-algebra expressions,
@@ -51,8 +51,7 @@ func main() {
 		in          = flag.String("in", "", "input Go file containing the annotated template (required)")
 		out         = flag.String("out", "", "output file (default: <in>_twisted.go)")
 		stdout      = flag.Bool("stdout", false, "write generated code to stdout instead of a file")
-		variants    = flag.String("variants", "", "comma-separated schedule families to emit (interchanged, twisted, twisted-cutoff); empty means all")
-		schedules   = flag.String("schedules", "", "comma-separated schedule-algebra expressions to emit, e.g. 'inline(2)∘twist(flagged)'; subsumes -variants")
+		schedules   = flag.String("schedules", "", "comma-separated schedule-algebra expressions to emit, e.g. 'twisted,inline(2)∘twist(flagged)'; empty means the interchanged, twisted and twisted-cutoff families")
 		fromLoops   = flag.Bool("from-loops", false, "treat -in as plain loop nests: convert the //twist:loops function through internal/loopfront first")
 		nestName    = flag.String("nest", "", "with -from-loops: select one //twist:loops nest by name when the file holds several")
 		templateOut = flag.String("template-out", "", "with -from-loops: where to write the generated recursion template (default: <in>_template.go)")
@@ -67,11 +66,8 @@ func main() {
 		fatal(fmt.Errorf("-nest and -template-out require -from-loops"))
 	}
 	var scheds []algebra.Schedule
-	for _, raw := range []string{*variants, *schedules} {
-		if raw == "" {
-			continue
-		}
-		for _, expr := range strings.Split(raw, ",") {
+	if *schedules != "" {
+		for _, expr := range strings.Split(*schedules, ",") {
 			s, err := algebra.ParseSchedule(strings.TrimSpace(expr))
 			if err != nil {
 				fatal(err)

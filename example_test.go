@@ -17,8 +17,8 @@ func Example() {
 		Inner: inner,
 		Work:  func(o, i twist.NodeID) { pairs++ },
 	})
-	exec.Run(twist.Twisted())
-	fmt.Println(pairs, "pairs,", exec.Stats.Twists, "twists")
+	res, _ := twist.Run(exec, twist.WithSchedule(twist.MustParseSchedule("twisted")))
+	fmt.Println(pairs, "pairs,", res.Stats.Twists, "twists")
 	// Output: 49 pairs, 62 twists
 }
 
@@ -29,8 +29,8 @@ func ExampleCheckSchedule() {
 		Inner: twist.NewPerfectTree(1),
 		Work:  func(o, i twist.NodeID) {},
 	}
-	ref, _ := twist.Record(spec, twist.Original())
-	tw, _ := twist.Record(spec, twist.Twisted())
+	ref, _ := twist.Record(spec, twist.MustParseSchedule("original"))
+	tw, _ := twist.Record(spec, twist.MustParseSchedule("twisted"))
 	fmt.Println(twist.CheckSchedule(ref, tw))
 	// Output: <nil>
 }

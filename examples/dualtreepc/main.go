@@ -36,12 +36,10 @@ func main() {
 		"schedule", "pairs<=r", "iterations", "pair ops", "twists", "time")
 
 	var want int64 = -1
-	for _, v := range []nest.Variant{
-		nest.Original(), nest.Interchanged(), nest.Twisted(), nest.TwistedCutoff(256),
-	} {
+	for _, v := range []string{"original", "interchanged", "twisted", "twisted-cutoff:256"} {
 		pc.Reset()
 		t0 := time.Now()
-		res, err := twist.Run(e, twist.WithVariant(v))
+		res, err := twist.Run(e, twist.WithSchedule(twist.MustParseSchedule(v)))
 		if err != nil {
 			panic(err)
 		}

@@ -30,10 +30,10 @@ func main() {
 	fmt.Printf("%-16s %-18s %-10s %s\n", "schedule", "checksum", "twists", "time")
 
 	var want uint64
-	for k, v := range []nest.Variant{nest.Original(), nest.Twisted(), nest.TwistedCutoff(64)} {
+	for k, v := range []string{"original", "twisted", "twisted-cutoff:64"} {
 		in.Reset()
 		t0 := time.Now()
-		res, err := twist.Run(e, twist.WithVariant(v))
+		res, err := twist.Run(e, twist.WithSchedule(twist.MustParseSchedule(v)))
 		if err != nil {
 			panic(err)
 		}

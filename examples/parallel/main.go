@@ -71,7 +71,8 @@ func main() {
 	count.Store(0)
 	t0 := time.Now()
 	e := nest.MustNew(spec)
-	if _, err := twist.Run(e, twist.WithVariant(nest.Twisted())); err != nil {
+	twisted := twist.WithSchedule(twist.MustParseSchedule("twisted"))
+	if _, err := twist.Run(e, twisted); err != nil {
 		panic(err)
 	}
 	seq := time.Since(t0)
@@ -81,14 +82,14 @@ func main() {
 	// One worker first: the decomposition depends only on the spawn depth,
 	// so this run's merged Stats are the determinism baseline.
 	count.Store(0)
-	base, err := twist.Run(e, twist.WithVariant(nest.Twisted()), twist.WithWorkers(1))
+	base, err := twist.Run(e, twisted, twist.WithWorkers(1))
 	if err != nil {
 		panic(err)
 	}
 
 	count.Store(0)
 	t0 = time.Now()
-	res, err := twist.Run(e, twist.WithVariant(nest.Twisted()), twist.WithWorkers(w))
+	res, err := twist.Run(e, twisted, twist.WithWorkers(w))
 	if err != nil {
 		panic(err)
 	}

@@ -30,17 +30,18 @@ func main() {
 	}
 
 	exec := twist.MustNew(spec)
-	reference, _ := twist.Record(spec, twist.Original())
+	reference, _ := twist.Record(spec, twist.Schedule{})
 
-	for _, v := range []twist.Variant{twist.Original(), twist.Interchanged(), twist.Twisted()} {
+	for _, v := range []string{"original", "interchanged", "twisted"} {
+		sch := twist.MustParseSchedule(v)
 		sum = 0
-		res, err := twist.Run(exec, twist.WithVariant(v))
+		res, err := twist.Run(exec, twist.WithSchedule(sch))
 		if err != nil {
 			panic(err)
 		}
 		fmt.Printf("%-13s sum=%-8d twists=%-3d\n", v, sum, res.Stats.Twists)
 
-		pairs, err := twist.Record(spec, v)
+		pairs, err := twist.Record(spec, sch)
 		if err != nil {
 			panic(err)
 		}
@@ -58,7 +59,7 @@ func main() {
 		Inner: twist.NewBalancedTree(1 << 10),
 		Work:  func(o, i twist.NodeID) {},
 	}
-	res, err := twist.Run(twist.MustNew(big), twist.WithVariant(twist.Twisted()))
+	res, err := twist.Run(twist.MustNew(big), twist.WithSchedule(twist.MustParseSchedule("twisted")))
 	if err != nil {
 		panic(err)
 	}

@@ -15,7 +15,6 @@ import (
 
 	"twist"
 	"twist/internal/memsim"
-	"twist/internal/nest"
 	"twist/internal/workloads"
 )
 
@@ -26,16 +25,16 @@ func main() {
 	// First, the paper's exact example: accesses to inner-tree node 5 on
 	// the 7-node trees (§3.2).
 	fmt.Println("paper example (7-node trees), reuse distances of inner node 5:")
-	for _, v := range []nest.Variant{nest.Original(), nest.Twisted()} {
-		fmt.Printf("  %-13s %s\n", v, strings.Join(node5Distances(v), " "))
+	for _, v := range []string{"original", "twisted"} {
+		fmt.Printf("  %-13s %s\n", v, strings.Join(node5Distances(twist.MustParseSchedule(v)), " "))
 	}
 	fmt.Println()
 
 	// Then the Fig 5 CDF at full size.
 	fmt.Printf("Fig 5 CDF, tree join with %d-node trees:\n", *n)
 	fmt.Printf("  %-8s %-10s %s\n", "r", "original", "twisted")
-	orig := histogram(*n, nest.Original())
-	tw := histogram(*n, nest.Twisted())
+	orig := histogram(*n, twist.Schedule{})
+	tw := histogram(*n, twist.MustParseSchedule("twisted"))
 	for r := 1; r <= 4*(*n); r *= 2 {
 		fmt.Printf("  %-8d %-10.4f %.4f\n", r, orig.CDF(r), tw.CDF(r))
 	}
@@ -45,7 +44,7 @@ func main() {
 
 // node5Distances replays the 7x7 example and formats the reuse distances of
 // accesses to inner node 5 (preorder index 4), ∞ for the first.
-func node5Distances(v nest.Variant) []string {
+func node5Distances(sch twist.Schedule) []string {
 	in := workloads.TreeJoin(7, 1)
 	ra := memsim.NewReuseAnalyzer()
 	var out []string
@@ -62,19 +61,19 @@ func node5Distances(v nest.Variant) []string {
 			out = append(out, fmt.Sprint(d))
 		}
 	})
-	if _, err := twist.Run(nest.MustNew(s), twist.WithVariant(v)); err != nil {
+	if _, err := twist.Run(twist.MustNew(s), twist.WithSchedule(sch)); err != nil {
 		panic(err)
 	}
 	return out
 }
 
-func histogram(n int, v nest.Variant) *memsim.Histogram {
+func histogram(n int, sch twist.Schedule) *memsim.Histogram {
 	in := workloads.TreeJoin(n, 1)
 	ra := memsim.NewReuseAnalyzer()
 	h := memsim.NewHistogram()
 	in.Reset()
 	s := in.TracedSpec(func(a memsim.Addr) { h.Add(ra.Access(a)) })
-	if _, err := twist.Run(nest.MustNew(s), twist.WithVariant(v)); err != nil {
+	if _, err := twist.Run(twist.MustNew(s), twist.WithSchedule(sch)); err != nil {
 		panic(err)
 	}
 	return h

@@ -153,10 +153,13 @@ func NewNN(query, ref *spatial.Index) *NN {
 	return nn
 }
 
-// Reset clears results and bounds between runs.
+// Reset clears results and bounds between runs. It allocates only on the
+// first call; later calls clear the arrays in place.
 func (nn *NN) Reset() {
-	nn.BestD = make([]float64, nn.Query.Len())
-	nn.BestI = make([]int32, nn.Query.Len())
+	if nn.BestD == nil {
+		nn.BestD = make([]float64, nn.Query.Len())
+		nn.BestI = make([]int32, nn.Query.Len())
+	}
 	for k := range nn.BestD {
 		nn.BestD[k] = math.Inf(1)
 		nn.BestI[k] = -1

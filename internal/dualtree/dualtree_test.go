@@ -213,6 +213,17 @@ func TestKheap(t *testing.T) {
 	}
 }
 
+// Resetting a nearest-neighbor instance between runs reuses its result
+// and bound arrays (the suite resets before every run). Not parallel:
+// AllocsPerRun counts the mallocs of the whole process.
+func TestNNResetDoesNotAllocate(t *testing.T) {
+	idx := kdtree.MustBuild(geom.Generate(geom.Uniform, 200, 3), 8)
+	nn, kn := NewNN(idx, idx), NewKNN(idx, idx, 4)
+	if allocs := testing.AllocsPerRun(10, func() { nn.Reset(); kn.Reset() }); allocs != 0 {
+		t.Errorf("Reset allocates %v times per call", allocs)
+	}
+}
+
 func TestDuplicatePointsNNDeterministic(t *testing.T) {
 	// Many exactly-coincident points: tie-breaking must keep results
 	// schedule-independent.

@@ -235,7 +235,8 @@ type Verdict struct {
 
 	// OuterRoot/InnerRoot is the sub-space the verdict refers to: the full
 	// roots for a passing check, the minimal failing sub-space found by
-	// greedy shrinking for a failing one.
+	// greedy shrinking for a failing one, and tree.Nil for CheckSequence,
+	// which cannot re-run the execution to shrink it.
 	OuterRoot, InnerRoot tree.NodeID
 
 	// Missing and Extra list multiset divergences (golden-has-more and
@@ -267,7 +268,10 @@ func (v *Verdict) String() string {
 		fmt.Fprintf(&b, "; column o=%d split across parallel streams", v.SplitColumn)
 	}
 	if v.DiffPairs > 0 {
-		fmt.Fprintf(&b, "; %d pair(s) differ, minimal sub-space (o=%d, i=%d)", v.DiffPairs, v.OuterRoot, v.InnerRoot)
+		fmt.Fprintf(&b, "; %d pair(s) differ", v.DiffPairs)
+		if v.OuterRoot != tree.Nil {
+			fmt.Fprintf(&b, ", minimal sub-space (o=%d, i=%d)", v.OuterRoot, v.InnerRoot)
+		}
 		if len(v.Missing) > 0 {
 			fmt.Fprintf(&b, "; missing %v", v.Missing)
 		}
@@ -437,10 +441,13 @@ func (g *Trace) CheckVariantOn(s nest.Spec, eng nest.Engine, v nest.Variant, fm 
 	return g.Check(s, EngineRunner(v, fm, subtree), label)
 }
 
-// CheckSequence compares an externally produced visit sequence (no re-run is
-// possible, so no minimization either).
-func (g *Trace) CheckSequence(label string, seq []Visit) *Verdict {
-	return g.compare(label, [][]Visit{seq}, tree.Nil, tree.Nil)
+// CheckSequence compares an externally produced execution — one visit
+// sequence per stream (per worker of a parallel run) — against the golden
+// trace: the streams must jointly replay its multiset, with every column
+// whole and in order inside one stream. No re-run is possible, so there is
+// no minimization either.
+func (g *Trace) CheckSequence(label string, streams ...[]Visit) *Verdict {
+	return g.compare(label, streams, tree.Nil, tree.Nil)
 }
 
 // CheckParallel runs s under the parallel executor described by cfg —
@@ -449,8 +456,10 @@ func (g *Trace) CheckSequence(label string, seq []Visit) *Verdict {
 // single worker. The cfg.Stealing and cfg.Engine labels select nothing; they
 // only reach the verdict text. The oracle owns cfg.WrapWork (it
 // installs per-worker visit recorders) and clears cfg.ForTask: the spec must
-// already be pure, so task-private state sharding is unnecessary.
-func (g *Trace) CheckParallel(s nest.Spec, cfg nest.RunConfig) (*Verdict, error) {
+// already be pure, so task-private state sharding is unnecessary. configure
+// (flag mode, subtree truncation, ...) applies to the Exec before the run,
+// and every worker inherits it.
+func (g *Trace) CheckParallel(s nest.Spec, cfg nest.RunConfig, configure ...func(*nest.Exec)) (*Verdict, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -466,6 +475,9 @@ func (g *Trace) CheckParallel(s nest.Spec, cfg nest.RunConfig) (*Verdict, error)
 	e, err := nest.New(run)
 	if err != nil {
 		return nil, err
+	}
+	for _, c := range configure {
+		c(e)
 	}
 	if _, err := e.RunWith(cfg); err != nil {
 		return nil, err

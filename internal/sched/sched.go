@@ -1,7 +1,8 @@
 // Package sched records and renders the schedules the transformations in
 // internal/nest produce. Its grid rendering reproduces the iteration-space
 // pictures of the paper's Fig 1(c) (original, column-by-column) and Fig 4(b)
-// (twisted, with its emergent nested tiles) as text.
+// (twisted, with its emergent nested tiles) as text. Whether a recorded
+// schedule is a legal reordering is the oracle's question (internal/oracle).
 package sched
 
 import (
@@ -9,25 +10,20 @@ import (
 	"strings"
 
 	"twist/internal/nest"
+	"twist/internal/oracle"
 	"twist/internal/tree"
 )
 
-// Pair is one iteration of a nested recursive iteration space: an outer-tree
-// node and an inner-tree node.
-type Pair struct {
-	O, I tree.NodeID
-}
-
 // Record executes variant v of spec s and returns the sequence of iterations
 // in execution order. The spec's own Work (if any) still runs.
-func Record(s nest.Spec, v nest.Variant) ([]Pair, error) {
-	var pairs []Pair
+func Record(s nest.Spec, v nest.Variant) ([]oracle.Visit, error) {
+	var pairs []oracle.Visit
 	work := s.Work
 	if work == nil {
 		work = func(o, i tree.NodeID) {}
 	}
 	s.Work = func(o, i tree.NodeID) {
-		pairs = append(pairs, Pair{O: o, I: i})
+		pairs = append(pairs, oracle.Visit{O: o, I: i})
 		work(o, i)
 	}
 	e, err := nest.New(s)
@@ -59,9 +55,9 @@ func InnerLabel(t *tree.Topology, n tree.NodeID) string {
 // the 1-based position of that iteration in the schedule (". ." for skipped
 // iterations of an irregular space). Reading the numbers in sequence traces
 // the arrows of Fig 1(c)/4(b); tiles appear as blocks of consecutive values.
-func Grid(outer, inner *tree.Topology, pairs []Pair) string {
+func Grid(outer, inner *tree.Topology, pairs []oracle.Visit) string {
 	no, ni := outer.Len(), inner.Len()
-	seq := make(map[Pair]int, len(pairs))
+	seq := make(map[oracle.Visit]int, len(pairs))
 	for k, p := range pairs {
 		seq[p] = k + 1
 	}
@@ -81,7 +77,7 @@ func Grid(outer, inner *tree.Topology, pairs []Pair) string {
 		fmt.Fprintf(&b, "%*s", 4, InnerLabel(inner, i))
 		for ok := int32(0); ok < int32(no); ok++ {
 			o := outer.ByPreorder(ok)
-			if s, ok2 := seq[Pair{O: o, I: i}]; ok2 {
+			if s, ok2 := seq[oracle.Visit{O: o, I: i}]; ok2 {
 				fmt.Fprintf(&b, " %*d", width, s)
 			} else {
 				fmt.Fprintf(&b, " %*s", width, ".")
@@ -95,7 +91,7 @@ func Grid(outer, inner *tree.Topology, pairs []Pair) string {
 // Order renders the schedule as the paper writes it: a sequence of labeled
 // iterations "(A,1) (A,2) …", wrapped at the given number of entries per
 // line (0 for a single line).
-func Order(outer, inner *tree.Topology, pairs []Pair, perLine int) string {
+func Order(outer, inner *tree.Topology, pairs []oracle.Visit, perLine int) string {
 	var b strings.Builder
 	for k, p := range pairs {
 		if k > 0 {
@@ -109,89 +105,4 @@ func Order(outer, inner *tree.Topology, pairs []Pair, perLine int) string {
 	}
 	b.WriteByte('\n')
 	return b.String()
-}
-
-// Check verifies that a recorded schedule is a permutation of the reference
-// schedule (same iterations, each exactly once) and preserves the relative
-// order of iterations within every column (fixed outer node) — the §3.3
-// soundness conditions for programs with inner-recursion-carried
-// dependences. It returns nil if both hold.
-func Check(reference, got []Pair) error {
-	refCount := make(map[Pair]int, len(reference))
-	for _, p := range reference {
-		refCount[p]++
-	}
-	for _, p := range got {
-		refCount[p]--
-	}
-	for p, c := range refCount {
-		if c != 0 {
-			return fmt.Errorf("sched: iteration (%d,%d) count differs by %d", p.O, p.I, -c)
-		}
-	}
-	refCols := map[tree.NodeID][]tree.NodeID{}
-	for _, p := range reference {
-		refCols[p.O] = append(refCols[p.O], p.I)
-	}
-	gotCols := map[tree.NodeID][]tree.NodeID{}
-	for _, p := range got {
-		gotCols[p.O] = append(gotCols[p.O], p.I)
-	}
-	for o, ref := range refCols {
-		g := gotCols[o]
-		for k := range ref {
-			if g[k] != ref[k] {
-				return fmt.Errorf("sched: column %d reordered at position %d: %d vs %d", o, k, g[k], ref[k])
-			}
-		}
-	}
-	return nil
-}
-
-// CheckSharded verifies that the shards — per-worker traces of a parallel
-// run — jointly cover the reference schedule exactly once, and that every
-// column (fixed outer node) lives entirely within one shard with its
-// reference order intact. That is the parallel form of Check's §3.3
-// soundness conditions: a column is one task's work, a task runs on one
-// worker, and within the worker it runs in schedule order.
-func CheckSharded(reference []Pair, shards [][]Pair) error {
-	refCount := make(map[Pair]int, len(reference))
-	for _, p := range reference {
-		refCount[p]++
-	}
-	owner := map[tree.NodeID]int{}
-	for k, shard := range shards {
-		for _, p := range shard {
-			refCount[p]--
-			if prev, ok := owner[p.O]; ok && prev != k {
-				return fmt.Errorf("sched: column %d split across shards %d and %d", p.O, prev, k)
-			}
-			owner[p.O] = k
-		}
-	}
-	for p, c := range refCount {
-		if c != 0 {
-			return fmt.Errorf("sched: iteration (%d,%d) count differs by %d", p.O, p.I, -c)
-		}
-	}
-	refCols := map[tree.NodeID][]tree.NodeID{}
-	for _, p := range reference {
-		refCols[p.O] = append(refCols[p.O], p.I)
-	}
-	for k, shard := range shards {
-		cols := map[tree.NodeID][]tree.NodeID{}
-		for _, p := range shard {
-			cols[p.O] = append(cols[p.O], p.I)
-		}
-		for o, got := range cols {
-			ref := refCols[o]
-			for n := range ref {
-				if got[n] != ref[n] {
-					return fmt.Errorf("sched: shard %d column %d reordered at position %d: %d vs %d",
-						k, o, n, got[n], ref[n])
-				}
-			}
-		}
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -119,31 +118,6 @@ func TestOrderRendering(t *testing.T) {
 	}
 }
 
-func TestCheckDetectsViolations(t *testing.T) {
-	t.Parallel()
-	s := paperSpec()
-	ref, _ := Record(s, nest.Original())
-	tw, _ := Record(s, nest.Twisted())
-	if err := Check(ref, tw); err != nil {
-		t.Fatalf("twisted schedule flagged unsound: %v", err)
-	}
-	// Missing iteration.
-	if err := Check(ref, tw[:len(tw)-1]); err == nil {
-		t.Fatal("missing iteration not detected")
-	}
-	// Column reorder: swap two iterations of column A.
-	bad := append([]Pair(nil), ref...)
-	bad[1], bad[2] = bad[2], bad[1]
-	if err := Check(ref, bad); err == nil {
-		t.Fatal("column reorder not detected")
-	}
-	// Row-major is a valid permutation with intact column order.
-	inter, _ := Record(s, nest.Interchanged())
-	if err := Check(ref, inter); err != nil {
-		t.Fatalf("interchange flagged unsound: %v", err)
-	}
-}
-
 func TestRecordPreservesUserWork(t *testing.T) {
 	t.Parallel()
 	s := paperSpec()
@@ -162,101 +136,5 @@ func TestRecordPropagatesSpecError(t *testing.T) {
 	t.Parallel()
 	if _, err := Record(nest.Spec{}, nest.Original()); err == nil {
 		t.Fatal("invalid spec accepted")
-	}
-}
-
-// The parallel executor's per-worker traces must jointly be the reference
-// schedule, with every column whole and in order inside one worker — on
-// regular and irregular (outer-dependent truncation) spaces, for all four
-// variants. Run with -race in CI.
-func TestCheckShardedParallelTraces(t *testing.T) {
-	t.Parallel()
-	outer, inner := tree.NewRandomBST(300, 1), tree.NewRandomBST(280, 2)
-	// Hereditary truncation (monotone down both trees), so the executed
-	// iteration set is schedule-independent per the template's semantics.
-	rng := rand.New(rand.NewSource(7))
-	level := make([]float64, outer.Len())
-	for o := range level {
-		level[o] = rng.Float64()
-	}
-	thresh := make([]float64, inner.Len())
-	for i := range thresh {
-		thresh[i] = 1 - 0.6*rng.Float64()
-	}
-	for _, o := range outer.Preorder(nil) {
-		if p := outer.Parent(o); p != tree.Nil && level[o] < level[p] {
-			level[o] = level[p]
-		}
-	}
-	for _, i := range inner.Preorder(nil) {
-		if p := inner.Parent(i); p != tree.Nil && thresh[i] > thresh[p] {
-			thresh[i] = thresh[p]
-		}
-	}
-	specs := map[string]nest.Spec{
-		"regular": {Outer: outer, Inner: inner},
-		"irregular": {
-			Outer:       outer,
-			Inner:       inner,
-			Hereditary:  true,
-			TruncInner2: func(o, i tree.NodeID) bool { return level[o] > thresh[i] },
-		},
-	}
-	variants := []nest.Variant{nest.Original(), nest.Interchanged(), nest.Twisted(), nest.TwistedCutoff(8)}
-	for name, s := range specs {
-		for _, v := range variants {
-			s := s
-			s.Work = func(o, i tree.NodeID) {}
-			ref, err := Record(s, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 4} {
-				shards := make([][]Pair, workers)
-				if _, err := nest.MustNew(s).RunWith(nest.RunConfig{
-					Variant: v,
-					Workers: workers,
-					WrapWork: func(w int, work func(o, i tree.NodeID)) func(o, i tree.NodeID) {
-						return func(o, i tree.NodeID) {
-							shards[w] = append(shards[w], Pair{O: o, I: i})
-							work(o, i)
-						}
-					},
-				}); err != nil {
-					t.Fatal(err)
-				}
-				if err := CheckSharded(ref, shards); err != nil {
-					t.Fatalf("%s %v w=%d: %v", name, v, workers, err)
-				}
-				// A single worker's trace is a full permutation; the
-				// sequential Check must accept it too.
-				if workers == 1 {
-					if err := Check(ref, shards[0]); err != nil {
-						t.Fatalf("%s %v single-worker trace: %v", name, v, err)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestCheckShardedDetectsViolations(t *testing.T) {
-	t.Parallel()
-	ref := []Pair{{O: 0, I: 0}, {O: 0, I: 1}, {O: 1, I: 0}}
-	ok := [][]Pair{{{O: 0, I: 0}, {O: 0, I: 1}}, {{O: 1, I: 0}}}
-	if err := CheckSharded(ref, ok); err != nil {
-		t.Fatalf("valid sharding rejected: %v", err)
-	}
-	split := [][]Pair{{{O: 0, I: 0}}, {{O: 0, I: 1}, {O: 1, I: 0}}}
-	if err := CheckSharded(ref, split); err == nil {
-		t.Fatal("column split across shards accepted")
-	}
-	reordered := [][]Pair{{{O: 0, I: 1}, {O: 0, I: 0}}, {{O: 1, I: 0}}}
-	if err := CheckSharded(ref, reordered); err == nil {
-		t.Fatal("reordered column accepted")
-	}
-	missing := [][]Pair{{{O: 0, I: 0}, {O: 0, I: 1}}}
-	if err := CheckSharded(ref, missing); err == nil {
-		t.Fatal("missing iteration accepted")
 	}
 }

@@ -18,7 +18,7 @@ import (
 // and refuse each other's hops, and no stale bytes are ever admitted
 // (DESIGN.md §4.14). Bump it whenever a job result schema or the engine's
 // deterministic outputs change.
-const EngineVersion = "2"
+const EngineVersion = "3"
 
 // This file is twistd's fleet mode (DESIGN.md §4.14): when Config.Cluster
 // is set, every job request is routed by its canonical spec digest through

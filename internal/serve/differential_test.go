@@ -225,3 +225,25 @@ func TestDifferentialOracle(t *testing.T) {
 		})
 	}
 }
+
+// A parallel run job executes under its flag_mode like a sequential one:
+// the Fig 6(b) set protocol clears flags on every executor, the §4.3
+// counter never does.
+func TestRunFlagModeParallel(t *testing.T) {
+	t.Parallel()
+	for _, workers := range []int{1, 2} {
+		for _, fm := range []string{"sets", "counter"} {
+			spec := RunSpec{
+				Workload: "pc", Variant: "twisted", Scale: 1024, Seed: diffSeed,
+				Workers: workers, FlagMode: fm,
+			}
+			res, err := RunJob(context.Background(), &spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if clears := res.Stats.FlagClears; (fm == "sets") != (clears > 0) {
+				t.Errorf("workers=%d flag_mode=%s: FlagClears %d", workers, fm, clears)
+			}
+		}
+	}
+}

@@ -100,6 +100,7 @@ func (s *RunSpec) exec(ctx context.Context, rec obs.Recorder) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	configure := func(e *nest.Exec) { e.Flags = fm }
 
 	res := &RunResult{
 		Workload: s.Workload, Variant: s.Variant, Scale: s.Scale, Seed: s.Seed,
@@ -111,7 +112,7 @@ func (s *RunSpec) exec(ctx context.Context, rec obs.Recorder) (any, error) {
 	// are deterministic across worker counts (fixed spawn depth), so the
 	// response body does not depend on scheduling.
 	if s.Workers <= 1 {
-		st, engOps, err := in.RunSeq(ctx, v, func(e *nest.Exec) { e.Flags = fm })
+		st, engOps, err := in.RunSeq(ctx, v, configure)
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +130,7 @@ func (s *RunSpec) exec(ctx context.Context, rec obs.Recorder) (any, error) {
 			Ctx:      ctx,
 			Layout:   s.Layout,
 			Recorder: rec,
-		})
+		}, configure)
 		if err != nil {
 			return nil, err
 		}
@@ -161,7 +162,7 @@ func (s *RunSpec) exec(ctx context.Context, rec obs.Recorder) (any, error) {
 	defer sim.Close()
 	tracedRun := func() error {
 		st := memsim.NewStream(sim, 0)
-		_, _, err := lin.RunSink(ctx, v, st.Sink(), func(e *nest.Exec) { e.Flags = fm })
+		_, _, err := lin.RunSink(ctx, v, st.Sink(), configure)
 		st.Close()
 		return err
 	}
@@ -457,6 +458,9 @@ func (s *OracleSpec) exec(ctx context.Context, rec obs.Recorder) (any, error) {
 			Stealing: s.Stealing,
 			Ctx:      ctx,
 			Recorder: rec,
+		}, func(e *nest.Exec) {
+			e.Flags = fm
+			e.SubtreeTruncation = !s.NoSubtree
 		})
 		if err != nil {
 			return nil, err

@@ -57,9 +57,10 @@ func TestGenerateSchedulesByteIdentity(t *testing.T) {
 				t.Error("GenerateSchedules(legacy schedules) differs from transform.Generate")
 			}
 
-			// And per-variant: each schedule alone matches GenerateVariants.
+			// And per-variant: each schedule alone matches the family
+			// generated directly.
 			for _, s := range scheds {
-				want, err := transform.GenerateVariants(tmpl, []nest.Variant{s.Variant()})
+				want, err := transform.GenerateWithInline(tmpl, []nest.Variant{s.Variant()}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -68,7 +69,7 @@ func TestGenerateSchedulesByteIdentity(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, want) {
-					t.Errorf("GenerateSchedules(%v) differs from GenerateVariants(%v)", s, s.Variant())
+					t.Errorf("GenerateSchedules(%v) differs from GenerateWithInline(%v)", s, s.Variant())
 				}
 			}
 		})

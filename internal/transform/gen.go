@@ -71,47 +71,17 @@ func applyRename(n ast.Node, rename map[string]string) {
 }
 
 // Generate synthesizes the transformed schedules for the template: recursion
-// interchange (Fig 3), parameterless recursion twisting (Fig 4a), and — for
-// templates with irregular truncation — the truncation-flag code of
-// Fig 6(b). The result is a complete Go source file in the template's
-// package.
+// interchange (Fig 3), parameterless recursion twisting (Fig 4a), twisting
+// with a cutoff (§7.1), and — for templates with irregular truncation — the
+// truncation-flag code of Fig 6(b). The result is a complete Go source file
+// in the template's package.
 func Generate(t *Template) ([]byte, error) {
-	return GenerateVariants(t, nil)
+	return generate(t, variantSet{interchanged: true, twisted: true, cutoff: true}, nil)
 }
 
 // variantSet records which schedule families to emit.
 type variantSet struct {
 	interchanged, twisted, cutoff bool
-}
-
-// GenerateVariants is Generate restricted to the requested schedule
-// families. Variants are matched by kind (a TwistedCutoff's cutoff value is
-// irrelevant — the generated function takes it as a parameter); Original is
-// rejected, since the input template already is that schedule. A nil or
-// empty list selects every family. Helpers a family needs — the swapped
-// inner recursion, and for irregular templates the flag-aware inner
-// recursion — are emitted exactly once regardless of how many families
-// share them.
-func GenerateVariants(t *Template, variants []nest.Variant) ([]byte, error) {
-	var want variantSet
-	if len(variants) == 0 {
-		want = variantSet{interchanged: true, twisted: true, cutoff: true}
-	}
-	for _, v := range variants {
-		switch v.Kind {
-		case nest.KindInterchanged:
-			want.interchanged = true
-		case nest.KindTwisted:
-			want.twisted = true
-		case nest.KindTwistedCutoff:
-			want.cutoff = true
-		case nest.KindOriginal:
-			return nil, fmt.Errorf("transform: %q is the input schedule; nothing to generate", v)
-		default:
-			return nil, fmt.Errorf("transform: unknown variant kind %d", v.Kind)
-		}
-	}
-	return generate(t, want, nil)
 }
 
 // InlineFamily names the schedule family an inlined variant is based on.
@@ -136,12 +106,16 @@ type InlineRequest struct {
 }
 
 // GenerateWithInline is the schedule-driven generator entry point: it emits
-// the requested legacy families (here an empty variants list means *none*,
-// unlike GenerateVariants) followed by the requested inlined variants. With
-// no inline requests and the same families the output is byte-identical to
-// GenerateVariants. Inlined variants use only their own Inline<N>-suffixed
-// helpers, so a file holding them composes with a separately generated
-// legacy file.
+// the requested schedule families followed by the requested inlined
+// variants. Families are matched by kind (a TwistedCutoff's cutoff value is
+// irrelevant — the generated function takes it as a parameter); Original is
+// rejected, since the input template already is that schedule. With every
+// family and no inline requests the output is byte-identical to Generate.
+// Helpers a family needs — the swapped inner recursion, and for irregular
+// templates the flag-aware inner recursion — are emitted exactly once
+// regardless of how many families share them. Inlined variants use only
+// their own Inline<N>-suffixed helpers, so a file holding them composes with
+// a separately generated one.
 func GenerateWithInline(t *Template, variants []nest.Variant, inline []InlineRequest) ([]byte, error) {
 	var want variantSet
 	for _, v := range variants {

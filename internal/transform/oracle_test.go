@@ -14,7 +14,7 @@ import (
 )
 
 // The source-to-source path must satisfy the same oracle as the engine:
-// each GenerateVariants output is compiled together with a tiny pointer-tree
+// each Generate output is compiled together with a tiny pointer-tree
 // harness, every schedule is executed out of process, and the printed visit
 // sequences are checked for permutation equivalence against the template's
 // own (original-schedule) output. The harness builds its trees with the same
@@ -104,7 +104,7 @@ func runHarness(t *testing.T, templateSrc string) map[string][]oracle.Visit {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := GenerateVariants(tmpl, nil)
+	gen, err := Generate(tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -303,7 +303,7 @@ func TestGenerateVariantsSubsets(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := []nest.Variant{nest.Interchanged(), nest.Twisted(), nest.TwistedCutoff(64)}
-	if got, err := GenerateVariants(irregular, all); err != nil || string(got) != string(full) {
+	if got, err := GenerateWithInline(irregular, all, nil); err != nil || string(got) != string(full) {
 		t.Fatalf("full variant set differs from Generate (err %v)", err)
 	}
 
@@ -337,7 +337,7 @@ func TestGenerateVariantsSubsets(t *testing.T) {
 		},
 	}
 	for _, c := range cases {
-		out, err := GenerateVariants(c.tmpl, c.variants)
+		out, err := GenerateWithInline(c.tmpl, c.variants, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -354,7 +354,7 @@ func TestGenerateVariantsSubsets(t *testing.T) {
 		}
 	}
 
-	if _, err := GenerateVariants(regular, []nest.Variant{nest.Original()}); err == nil {
+	if _, err := GenerateWithInline(regular, []nest.Variant{nest.Original()}, nil); err == nil {
 		t.Fatal("original accepted as a generation target")
 	}
 }

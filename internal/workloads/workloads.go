@@ -178,13 +178,18 @@ func (in *Instance) OracleSpec() nest.Spec {
 
 // RunWith executes the instance under the parallel executor, wiring the
 // instance's ForTask sharding into cfg (unless the caller set its own) and
-// folding ExtraOps into the merged Stats.
-func (in *Instance) RunWith(cfg nest.RunConfig) (nest.RunResult, error) {
+// folding ExtraOps into the merged Stats. configure (flag mode, subtree
+// truncation, ...) applies to the Exec before the run, as in RunSeq; every
+// worker inherits it.
+func (in *Instance) RunWith(cfg nest.RunConfig, configure ...func(*nest.Exec)) (nest.RunResult, error) {
 	in.Reset()
 	if cfg.ForTask == nil {
 		cfg.ForTask = in.ForTask
 	}
 	e := nest.MustNew(in.Spec)
+	for _, c := range configure {
+		c(e)
+	}
 	res, err := e.RunWith(cfg)
 	res.Stats.ExtraOps = in.ExtraOps()
 	return res, err

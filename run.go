@@ -19,8 +19,8 @@ import (
 // WithRecorder. Implementations must be safe for concurrent use.
 type Recorder = obs.Recorder
 
-// runOptions accumulates one Run call's configuration. The zero value plus
-// defaults() reproduces Exec.Run(Original()) exactly.
+// runOptions accumulates one Run call's configuration. The zero value
+// reproduces Exec.Run under the original schedule exactly.
 type runOptions struct {
 	cfg      nest.RunConfig
 	parallel bool
@@ -33,15 +33,10 @@ type runOptions struct {
 // RunOption configures one Run call; build them with the With* constructors.
 type RunOption func(*runOptions)
 
-// WithVariant selects the schedule variant to execute (default Original()).
-func WithVariant(v Variant) RunOption {
-	return func(o *runOptions) { o.cfg.Variant = v }
-}
-
-// WithSchedule selects the schedule by its algebra form, lowering it onto
-// the engine's canonical variants via Schedule.Variant. Inlining terms are
-// dropped by the lowering: they change generated code, not the visit order,
-// so the execution is exact.
+// WithSchedule selects the schedule to execute (default the identity, the
+// original order), lowering it onto the engine's canonical schedules.
+// Inlining terms are dropped by the lowering: they change generated code,
+// not the visit order, so the execution is exact.
 func WithSchedule(s Schedule) RunOption {
 	return func(o *runOptions) { o.cfg.Variant = s.Variant() }
 }
@@ -118,8 +113,8 @@ func WithSimWorkers(n int) RunOption {
 }
 
 // Run executes exec under the given options and returns the merged result.
-// With no options it is Exec.Run(Original()) — sequential, no telemetry —
-// and each option moves exactly one axis:
+// With no options it is Exec.Run under the original schedule — sequential,
+// no telemetry — and each option moves exactly one axis:
 //
 //	res, err := twist.Run(exec,
 //		twist.WithSchedule(twist.MustParseSchedule("stripmine(64)∘twist(flagged)")),
@@ -135,7 +130,6 @@ func Run(exec *Exec, opts ...RunOption) (RunResult, error) {
 		return RunResult{}, fmt.Errorf("twist: Run on a nil Exec")
 	}
 	var o runOptions
-	o.cfg.Variant = Original()
 	for _, opt := range opts {
 		opt(&o)
 	}

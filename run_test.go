@@ -8,7 +8,11 @@ import (
 	"time"
 
 	"twist"
+	"twist/internal/nest"
 )
+
+// twisted is the schedule most tests run: parameterless recursion twisting.
+var twisted = twist.MustParseSchedule("twisted")
 
 // sumSpec builds a deterministic n×n join whose result lands in the returned
 // atomic (safe for both sequential and parallel runs).
@@ -23,19 +27,19 @@ func sumSpec(n int) (twist.Spec, *atomic.Int64) {
 	}, &sum
 }
 
-// The pinning contract of the unified entrypoint: Run with only a variant is
-// byte-identical to the legacy Exec.Run — same Stats, same result — wrapped
-// in the sequential RunResult shape.
+// The pinning contract of the unified entrypoint: Run with only a schedule
+// is byte-identical to Exec.Run on the schedule's lowering — same Stats, same
+// result — wrapped in the sequential RunResult shape.
 func TestRunMatchesExecRun(t *testing.T) {
-	for _, v := range []twist.Variant{
-		twist.Original(), twist.Interchanged(), twist.Twisted(), twist.TwistedCutoff(8),
-	} {
+	for _, expr := range []string{"original", "interchanged", "twisted", "twisted-cutoff:8"} {
+		sch := twist.MustParseSchedule(expr)
+		v := sch.Variant()
 		legacySpec, legacySum := sumSpec(127)
 		legacy := twist.MustNew(legacySpec)
 		legacy.Run(v)
 
 		spec, sum := sumSpec(127)
-		res, err := twist.Run(twist.MustNew(spec), twist.WithVariant(v))
+		res, err := twist.Run(twist.MustNew(spec), twist.WithSchedule(sch))
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -58,8 +62,8 @@ func TestRunMatchesExecRun(t *testing.T) {
 // the work-stealing executor.
 func TestRunMatchesRunWith(t *testing.T) {
 	legacySpec, legacySum := sumSpec(255)
-	want, err := twist.MustNew(legacySpec).RunWith(twist.RunConfig{
-		Variant: twist.Twisted(), Workers: 4,
+	want, err := twist.MustNew(legacySpec).RunWith(nest.RunConfig{
+		Variant: nest.Twisted(), Workers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +71,7 @@ func TestRunMatchesRunWith(t *testing.T) {
 
 	spec, sum := sumSpec(255)
 	got, err := twist.Run(twist.MustNew(spec),
-		twist.WithVariant(twist.Twisted()), twist.WithWorkers(4))
+		twist.WithSchedule(twisted), twist.WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +95,7 @@ func TestRunEngineAxis(t *testing.T) {
 		spec, _ := sumSpec(255)
 		rec := &countRecorder{}
 		res, err := twist.Run(twist.MustNew(spec),
-			twist.WithVariant(twist.Twisted()), twist.WithWorkers(workers), twist.WithRecorder(rec))
+			twist.WithSchedule(twisted), twist.WithWorkers(workers), twist.WithRecorder(rec))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,22 +108,25 @@ func TestRunEngineAxis(t *testing.T) {
 	}
 }
 
-// WithSchedule lowers algebra schedules onto the same execution WithVariant
-// selects; the two spellings are bit-identical.
+// WithSchedule lowers compositions onto the engine's canonical schedules:
+// strip-mined twisting runs as the cutoff variant, and inlining, which
+// changes generated code but not the visit order, is dropped.
 func TestRunWithSchedule(t *testing.T) {
-	exprSpec, _ := sumSpec(127)
-	expr, err := twist.Run(twist.MustNew(exprSpec),
-		twist.WithSchedule(twist.MustParseSchedule("stripmine(8)∘twist(flagged)")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	varSpec, _ := sumSpec(127)
-	v, err := twist.Run(twist.MustNew(varSpec), twist.WithVariant(twist.TwistedCutoff(8)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if expr.Stats != v.Stats {
-		t.Errorf("schedule form %+v, variant form %+v", expr.Stats, v.Stats)
+	for expr, v := range map[string]nest.Variant{
+		"stripmine(8)∘twist(flagged)": nest.TwistedCutoff(8),
+		"inline(2)∘twisted":           nest.Twisted(),
+	} {
+		spec, _ := sumSpec(127)
+		res, err := twist.Run(twist.MustNew(spec), twist.WithSchedule(twist.MustParseSchedule(expr)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		engSpec, _ := sumSpec(127)
+		eng := twist.MustNew(engSpec)
+		eng.Run(v)
+		if res.Stats != eng.Stats {
+			t.Errorf("%s: Run stats %+v, %v stats %+v", expr, res.Stats, v, eng.Stats)
+		}
 	}
 }
 
@@ -155,7 +162,7 @@ func TestRunTelemetryAndDimensions(t *testing.T) {
 	spec, _ := sumSpec(127)
 	rec := &countRecorder{}
 	res, err := twist.Run(twist.MustNew(spec),
-		twist.WithVariant(twist.Twisted()),
+		twist.WithSchedule(twisted),
 		twist.WithLayout(twist.VEBLayout),
 		twist.WithSimWorkers(2),
 		twist.WithRecorder(rec),
@@ -201,7 +208,7 @@ func TestRunErrors(t *testing.T) {
 	cancel()
 	spec, _ := sumSpec(255)
 	if _, err := twist.Run(twist.MustNew(spec),
-		twist.WithVariant(twist.Twisted()), twist.WithContext(ctx)); err == nil {
+		twist.WithSchedule(twisted), twist.WithContext(ctx)); err == nil {
 		t.Error("Run with a canceled context succeeded")
 	}
 }

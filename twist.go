@@ -6,15 +6,18 @@
 // A nested recursion — a recursive method that calls another recursive
 // method, as in a tree join or a dual-tree n-body algorithm — defines a
 // two-dimensional iteration space whose points are pairs (o, i) of positions
-// in an outer and an inner tree. This package reschedules such computations:
+// in an outer and an inner tree. This package reschedules such computations
+// under a Schedule, a composition of the paper's transformations parsed
+// from an expression:
 //
-//   - Original: the untransformed column-by-column schedule.
-//   - Interchanged: recursion interchange, the analog of loop interchange.
-//   - Twisted: recursion twisting, a parameterless analog of multi-level
+//   - "original" (the identity): the untransformed column-by-column
+//     schedule.
+//   - "interchanged": recursion interchange, the analog of loop interchange.
+//   - "twisted": recursion twisting, a parameterless analog of multi-level
 //     loop tiling that improves locality at every level of the memory
 //     hierarchy simultaneously.
-//   - TwistedCutoff: twisting with a cutoff parameter that falls back to
-//     the original order for small subproblems.
+//   - "twisted-cutoff:N" (≡ "stripmine(N)∘twist(flagged)"): twisting with a
+//     cutoff that falls back to the original order for small subproblems.
 //
 // Programs with data-dependent truncation (an inner recursion cut off based
 // on both indices, as dual-tree algorithms do with Score-based pruning) are
@@ -30,19 +33,20 @@
 //		Work:  func(o, i twist.NodeID) { join(o, i) },
 //	}
 //	exec := twist.MustNew(spec)
-//	res, err := twist.Run(exec, twist.WithVariant(twist.Twisted()))
+//	res, err := twist.Run(exec, twist.WithSchedule(twist.MustParseSchedule("twisted")))
 //
 // The iteration order changes; the set of Work invocations (and, for
 // programs meeting the paper's soundness criterion, the program result)
 // does not. Run is the single entrypoint for every execution axis —
-// schedule (WithVariant / WithSchedule), parallelism (WithWorkers),
-// telemetry (WithRecorder), cancellation (WithContext) — see run.go.
+// schedule (WithSchedule), parallelism (WithWorkers), telemetry
+// (WithRecorder), cancellation (WithContext) — see run.go.
 package twist
 
 import (
 	"twist/internal/depcheck"
 	"twist/internal/layout"
 	"twist/internal/nest"
+	"twist/internal/oracle"
 	"twist/internal/sched"
 	"twist/internal/transform/algebra"
 	"twist/internal/tree"
@@ -96,55 +100,27 @@ const (
 	FlagCounter = nest.FlagCounter
 )
 
-// Variant selects an engine schedule. The four constructors are the
-// canonical points of the composable schedule algebra; see Schedule for the
-// general form.
-type Variant = nest.Variant
-
 // Schedule is a normalized composition of schedule transformations — code
-// motion (twisting), interchange, strip mining, and inlining — the general
-// form of the four Variant constructors. Every composition normalizes to
-// the canonical form [inline(k)∘][stripmine(c)∘]core; schedules are
-// legality-checked against dependence witnesses, and inline-free schedules
-// lower exactly onto a Variant via Schedule.Variant. The zero value is the
-// identity schedule.
+// motion (twisting), interchange, strip mining, and inlining. Every
+// composition normalizes to the canonical form
+// [inline(k)∘][stripmine(c)∘]core; schedules are legality-checked against
+// dependence witnesses, and inline-free schedules lower exactly onto the
+// engine's four canonical schedules. The zero value is the identity
+// schedule.
 type Schedule = algebra.Schedule
 
 // ParseSchedule parses a schedule expression — terms joined by ∘ (or the
 // ASCII "."), e.g. "stripmine(64)∘twist(flagged)" or "inline(2)∘twisted".
-// Every Variant name ("original", "interchanged" or "interchange",
-// "twisted", "twisted-cutoff[:N]") is a valid expression, and
+// The names "original", "interchanged" (or "interchange"), "twisted" and
+// "twisted-cutoff[:N]" are valid expressions, and
 // ParseSchedule(s.String()) == s for every schedule s.
 func ParseSchedule(expr string) (Schedule, error) { return algebra.ParseSchedule(expr) }
-
-// ScheduleOf expresses an engine variant as its canonical schedule:
-// Original() = identity, Interchanged() = interchange, Twisted() =
-// twist(flagged), TwistedCutoff(N) = stripmine(N)∘twist(flagged).
-func ScheduleOf(v Variant) (Schedule, error) { return algebra.FromVariant(v) }
 
 // New returns an Exec for the given spec.
 func New(s Spec) (*Exec, error) { return nest.New(s) }
 
 // MustNew is New that panics on error.
 func MustNew(s Spec) *Exec { return nest.MustNew(s) }
-
-// Original is the untransformed column-by-column schedule.
-func Original() Variant { return nest.Original() }
-
-// Interchanged is the row-by-row schedule of recursion interchange.
-func Interchanged() Variant { return nest.Interchanged() }
-
-// Twisted is parameterless recursion twisting.
-func Twisted() Variant { return nest.Twisted() }
-
-// TwistedCutoff is twisting with a cutoff: the schedule only twists while
-// the tree held by the inner recursion is larger than cutoff.
-func TwistedCutoff(cutoff int) Variant { return nest.TwistedCutoff(cutoff) }
-
-// RunConfig configures a parallel run on the work-stealing executor: the
-// schedule variant, worker count, spawn depth, optional context
-// cancellation, and the per-task Spec hooks. See Exec.RunWith.
-type RunConfig = nest.RunConfig
 
 // RunResult reports a parallel run: merged Stats (identical across worker
 // counts for a fixed SpawnDepth), per-worker Stats, and task and steal
@@ -156,11 +132,11 @@ type RunResult = nest.RunResult
 const DefaultSpawnDepth = nest.DefaultSpawnDepth
 
 // Pair is one iteration of the space: an outer and an inner tree node.
-type Pair = sched.Pair
+type Pair = oracle.Visit
 
-// Record executes variant v of spec s and returns the iterations in
+// Record executes spec s under schedule sch and returns the iterations in
 // execution order (the spec's own Work still runs).
-func Record(s Spec, v Variant) ([]Pair, error) { return sched.Record(s, v) }
+func Record(s Spec, sch Schedule) ([]Pair, error) { return sched.Record(s, sch.Variant()) }
 
 // RenderGrid renders a recorded schedule as the iteration-space matrices of
 // the paper's Fig 1(c)/4(b): each cell holds the iteration's position in the
@@ -171,14 +147,17 @@ func RenderGrid(outer, inner *Topology, pairs []Pair) string {
 
 // CheckSchedule verifies that got is a permutation of reference that
 // preserves per-column order — the paper's §3.3 soundness conditions for
-// programs whose dependences are carried over the inner recursion.
-func CheckSchedule(reference, got []Pair) error { return sched.Check(reference, got) }
+// programs whose dependences are carried over the inner recursion. A
+// violation is reported as the oracle's verdict (DESIGN.md §4.9).
+func CheckSchedule(reference, got []Pair) error {
+	return oracle.FromSequence(reference).CheckSequence("schedule", got).Err()
+}
 
 // CheckShardedSchedule is CheckSchedule for the per-worker traces of a
 // parallel run: the shards must jointly cover the reference exactly once,
 // with every column whole and in reference order inside a single shard.
 func CheckShardedSchedule(reference []Pair, shards [][]Pair) error {
-	return sched.CheckSharded(reference, shards)
+	return oracle.FromSequence(reference).CheckSequence("sharded schedule", shards...).Err()
 }
 
 // LayoutKind names an arena layout pass: a storage-order factorization of a
