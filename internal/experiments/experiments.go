@@ -190,9 +190,11 @@ func missRatesWith(in *workloads.Instance, v nest.Variant, workers, simWorkers i
 			Recorder:   rec,
 			ForTask:    in.ForTask,
 			WrapWork: func(w int, work func(o, i tree.NodeID)) func(o, i tree.NodeID) {
-				emit := sinks[w].Emit
+				sk := sinks[w]
+				var buf []memsim.Addr // this task's own: Trace is shared by every worker
 				return func(o, i tree.NodeID) {
-					trace(o, i, emit)
+					buf = trace(o, i, buf[:0])
+					sk.EmitBatch(buf)
 					work(o, i)
 				}
 			},

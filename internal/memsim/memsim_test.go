@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -67,6 +68,108 @@ func TestReuseAnalyzerMatchesNaive(t *testing.T) {
 		if r.Distinct() > alphabet {
 			t.Fatalf("Distinct=%d > alphabet %d", r.Distinct(), alphabet)
 		}
+	}
+}
+
+// growingReuse is the unbounded Bennett–Kruskal analyzer the compacting
+// ReuseAnalyzer replaced, kept as a reference: a map from address to last
+// access time and a Fenwick tree grown by one slot per access, so its
+// memory is O(trace length) but it never renumbers anything.
+type growingReuse struct {
+	last map[Addr]int
+	bit  []int
+	time int
+}
+
+func newGrowingReuse() *growingReuse {
+	return &growingReuse{last: make(map[Addr]int), bit: make([]int, 1)}
+}
+
+func (r *growingReuse) sum(i int) int {
+	s := 0
+	for ; i > 0; i -= i & -i {
+		s += r.bit[i]
+	}
+	return s
+}
+
+func (r *growingReuse) add(i, v int) {
+	for ; i < len(r.bit); i += i & -i {
+		r.bit[i] += v
+	}
+}
+
+func (r *growingReuse) Access(a Addr) int {
+	r.time++
+	t := r.time
+	lb := t & -t
+	r.bit = append(r.bit, r.sum(t-1)-r.sum(t-lb))
+	d := Infinite
+	if t0, ok := r.last[a]; ok {
+		d = r.sum(t-1) - r.sum(t0)
+		r.add(t0, -1)
+	}
+	r.last[a] = t
+	r.add(t, 1)
+	return d
+}
+
+// TestReuseAnalyzerMatchesGrowingAcrossCompactions drives the analyzer
+// through many compactions and tree growths: long seeded traces (10³ to
+// 3·10⁵ accesses) over alphabets of 1 to 2¹⁶ addresses spread across
+// several 1 GiB regions, drawn uniformly, as cyclic sweeps (every reuse at
+// the largest distance) and as a local random walk. Every distance must
+// equal the growing reference analyzer's.
+func TestReuseAnalyzerMatchesGrowingAcrossCompactions(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(7))
+	lengths := []int{1_000, 5_000, 40_000, 300_000}
+	alphabets := []int{1, 2, 37, 1_000, 1 << 12, 1 << 16}
+	for trial := 0; trial < 12; trial++ {
+		n := lengths[trial%len(lengths)]
+		alpha := alphabets[trial%len(alphabets)]
+		regions := 1 + rng.Intn(4)
+		addr := func(k int) Addr {
+			return Addr(1+k%regions)<<30 | Addr(k/regions)*64
+		}
+		r, ref := NewReuseAnalyzer(), newGrowingReuse()
+		walk := 0
+		for k := 0; k < n; k++ {
+			var x int
+			switch trial % 3 {
+			case 0:
+				x = rng.Intn(alpha)
+			case 1:
+				x = k % alpha
+			default:
+				walk = (walk + alpha + rng.Intn(9) - 4) % alpha
+				x = walk
+			}
+			a := addr(x)
+			if got, want := r.Access(a), ref.Access(a); got != want {
+				t.Fatalf("trial %d (n=%d, alphabet %d, %d regions) access %d (addr %#x): got %d, want %d",
+					trial, n, alpha, regions, k, a, got, want)
+			}
+		}
+		if r.Distinct() != len(ref.last) {
+			t.Fatalf("trial %d: Distinct=%d, reference %d", trial, r.Distinct(), len(ref.last))
+		}
+	}
+}
+
+// The analyzer's memory is O(distinct addresses), not O(trace length):
+// after 10⁶ accesses over 10³ addresses the Fenwick tree must still fit in
+// four times the distinct count plus its initial capacity.
+func TestReuseAnalyzerBoundedByDistinct(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(3))
+	r := NewReuseAnalyzer()
+	for k := 0; k < 1_000_000; k++ {
+		r.Access(Addr(rng.Intn(1000)) * 64)
+	}
+	if limit := 4*r.Distinct() + reuseInitCap; len(r.bit) > limit+1 {
+		t.Fatalf("Fenwick tree has %d positions after 10⁶ accesses over %d addresses, want at most %d",
+			len(r.bit)-1, r.Distinct(), limit)
 	}
 }
 
@@ -316,18 +419,28 @@ func TestCacheAgreesWithStackDistance(t *testing.T) {
 	}
 }
 
+// BenchmarkReuseAnalyzer times whole traces of uniform draws from 2¹²
+// addresses; the 2²⁰-access case reaches many compactions, so a cost that
+// grows with trace length rather than distinct addresses shows in ns/access
+// and B/op.
 func BenchmarkReuseAnalyzer(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	trace := make([]Addr, 1<<16)
-	for k := range trace {
-		trace[k] = Addr(rng.Intn(1 << 12))
-	}
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		r := NewReuseAnalyzer()
-		for _, a := range trace {
-			r.Access(a)
-		}
+	for _, n := range []int{1 << 16, 1 << 20} {
+		b.Run(fmt.Sprintf("accesses=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			trace := make([]Addr, n)
+			for k := range trace {
+				trace[k] = Addr(rng.Intn(1 << 12))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				r := NewReuseAnalyzer()
+				for _, a := range trace {
+					r.Access(a)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/access")
+		})
 	}
 }
 

@@ -9,10 +9,8 @@ package memsim
 // distances below the cache size are hits and above are misses).
 func PredictMisses(h *Histogram, capacityLines int) int64 {
 	misses := h.InfiniteCount()
-	for d, c := range h.counts {
-		if d >= capacityLines {
-			misses += c
-		}
+	for _, c := range h.counts[min(max(capacityLines, 0), len(h.counts)):] {
+		misses += c
 	}
 	return misses
 }

@@ -38,31 +38,42 @@ const Infinite = -1
 // Mattson et al. [24]) online: for each access, the number of *distinct*
 // other addresses touched since the previous access to the same address.
 //
-// The implementation is the classic Bennett–Kruskal scheme: each address
-// remembers the time of its last access; a Fenwick tree over time holds a 1
-// at the most recent access position of every address; the stack distance of
-// an access at time t to an address last touched at time t0 is the number of
-// ones in (t0, t).
+// The implementation is the classic Bennett–Kruskal scheme, bounded by the
+// distinct addresses rather than the trace length. Each address gets a slot
+// on first touch; the slot remembers the position of its last access; a
+// Fenwick tree over positions holds a 1 at the most recent position of
+// every address, so the stack distance of an access to an address last
+// touched at position t0 is the number of ones after t0: Distinct() minus
+// the prefix count through t0. Positions are handed out in access order
+// from a fixed-capacity tree; when it fills, the live marks are renumbered
+// to their ranks (1..Distinct(), order kept, so every later distance is
+// unchanged) in a tree of at least twice the distinct count. Memory is
+// O(distinct addresses), and each compaction is paid for by the at least
+// Distinct() accesses that fill the tree again.
 type ReuseAnalyzer struct {
-	last map[Addr]int
-	bit  []int // Fenwick tree, 1-indexed over access times
-	time int
+	slot map[Addr]int32 // address → slot, assigned on first touch
+	last []int32        // slot → position of its last access (1-based)
+	bit  []int32        // Fenwick tree over positions 1..len(bit)-1
+	now  int32          // positions handed out since the last compaction
 }
+
+// reuseInitCap is the position capacity a new ReuseAnalyzer starts with.
+const reuseInitCap = 1 << 10
 
 // NewReuseAnalyzer returns an analyzer with no history.
 func NewReuseAnalyzer() *ReuseAnalyzer {
-	return &ReuseAnalyzer{last: make(map[Addr]int), bit: make([]int, 1)}
+	return &ReuseAnalyzer{slot: make(map[Addr]int32), bit: make([]int32, reuseInitCap+1)}
 }
 
-func (r *ReuseAnalyzer) bitAdd(i, v int) {
-	for ; i < len(r.bit); i += i & (-i) {
+func (r *ReuseAnalyzer) bitAdd(i, v int32) {
+	for n := int32(len(r.bit)); i < n; i += i & -i {
 		r.bit[i] += v
 	}
 }
 
-func (r *ReuseAnalyzer) bitSum(i int) int {
-	s := 0
-	for ; i > 0; i -= i & (-i) {
+func (r *ReuseAnalyzer) bitSum(i int32) int32 {
+	var s int32
+	for ; i > 0; i -= i & -i {
 		s += r.bit[i]
 	}
 	return s
@@ -71,47 +82,86 @@ func (r *ReuseAnalyzer) bitSum(i int) int {
 // Access records an access to a and returns its reuse distance, or Infinite
 // if a has never been accessed before.
 func (r *ReuseAnalyzer) Access(a Addr) int {
-	r.time++
-	t := r.time
-	// Grow the Fenwick tree by exactly one slot. A new node at index t
-	// covers the range (t-lowbit(t), t]; its initial value is the sum of the
-	// existing marks in that range (the mark at t itself is added below).
-	lb := t & (-t)
-	r.bit = append(r.bit, r.bitSum(t-1)-r.bitSum(t-lb))
-	d := Infinite
-	if t0, ok := r.last[a]; ok {
-		// Ones strictly between t0 and t: distinct addresses since t0.
-		d = r.bitSum(t-1) - r.bitSum(t0)
-		r.bitAdd(t0, -1)
+	if int(r.now) == len(r.bit)-1 {
+		r.compact()
 	}
-	r.last[a] = t
+	r.now++
+	t := r.now
+	s, ok := r.slot[a]
+	if !ok {
+		r.slot[a] = int32(len(r.last))
+		r.last = append(r.last, t)
+		r.bitAdd(t, 1)
+		return Infinite
+	}
+	// Every address holds one mark, all at positions before t, so the
+	// marks after t0 are the distinct addresses touched since then.
+	t0 := r.last[s]
+	d := len(r.last) - int(r.bitSum(t0))
+	r.bitAdd(t0, -1)
 	r.bitAdd(t, 1)
+	r.last[s] = t
 	return d
+}
+
+// compact renumbers each live mark to its rank among the marks and
+// rebuilds the tree with ones at 1..Distinct(), growing it to twice the
+// distinct count if it holds less. The ranks come from a prefix count of
+// the marked positions, computed in the tree's own array before the
+// rebuild overwrites it: O(capacity) sequential work, no tree queries.
+func (r *ReuseAnalyzer) compact() {
+	clear(r.bit)
+	for _, t0 := range r.last {
+		r.bit[t0] = 1
+	}
+	for i := 1; i < len(r.bit); i++ {
+		r.bit[i] += r.bit[i-1]
+	}
+	for s, t0 := range r.last {
+		r.last[s] = r.bit[t0]
+	}
+	live := int32(len(r.last))
+	if n := 2 * len(r.last); n > len(r.bit)-1 {
+		r.bit = make([]int32, n+1)
+	}
+	// Node i covers positions (i-lowbit(i), i]; count the ones among them.
+	// Nodes past the live count still cover marks below it.
+	for i := int32(1); i < int32(len(r.bit)); i++ {
+		lo := i - i&-i
+		r.bit[i] = max(min(i, live)-lo, 0)
+	}
+	r.now = live
 }
 
 // Distinct reports how many distinct addresses have been accessed so far.
 func (r *ReuseAnalyzer) Distinct() int { return len(r.last) }
 
 // Histogram aggregates reuse distances into the CDF the paper plots in Fig 5:
-// "percentage of accesses with reuse distance less than r".
+// "percentage of accesses with reuse distance less than r". Counts are kept
+// densely by distance — a distance is always below the distinct-address
+// count of its trace, so the table is O(distinct addresses) — and every
+// summary is an integer sum over it.
 type Histogram struct {
-	counts   map[int]int64
+	counts   []int64 // counts[d] = accesses at finite distance d
 	total    int64
 	infinite int64
 	max      int
 }
 
 // NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{counts: make(map[int]int64)}
-}
+func NewHistogram() *Histogram { return &Histogram{} }
 
-// Add records one reuse distance (Infinite for a cold access).
+// Add records one reuse distance: Infinite for a cold access, otherwise a
+// non-negative distance.
 func (h *Histogram) Add(d int) {
 	h.total++
 	if d == Infinite {
 		h.infinite++
 		return
+	}
+	if d >= len(h.counts) {
+		n := max(d+1, 2*len(h.counts))
+		h.counts = append(h.counts, make([]int64, n-len(h.counts))...)
 	}
 	h.counts[d]++
 	if d > h.max {
@@ -132,10 +182,8 @@ func (h *Histogram) CDF(r int) float64 {
 		return 0
 	}
 	var n int64
-	for d, c := range h.counts {
-		if d < r {
-			n += c
-		}
+	for _, c := range h.counts[:max(min(r, len(h.counts)), 0)] {
+		n += c
 	}
 	return float64(n) / float64(h.total)
 }

@@ -44,7 +44,7 @@ func (r *recordingSim) Close()                       {}
 func expand(in *workloads.Instance, g *oracle.Trace) []memsim.Addr {
 	var want []memsim.Addr
 	for _, v := range g.Seq {
-		in.Trace(v.O, v.I, func(a memsim.Addr) { want = append(want, a) })
+		want = in.Trace(v.O, v.I, want)
 	}
 	return want
 }
@@ -66,7 +66,13 @@ func TestStreamSequentialTraceEqualsOracleTrace(t *testing.T) {
 	st := memsim.NewStream(rec, 64)
 	sink := st.Sink()
 	run := spec
-	run.Work = func(o, i tree.NodeID) { in.Trace(o, i, sink.Emit) }
+	var buf []memsim.Addr
+	run.Work = func(o, i tree.NodeID) {
+		buf = in.Trace(o, i, buf[:0])
+		for _, a := range buf {
+			sink.Emit(a)
+		}
+	}
 	nest.MustNew(run).Run(nest.Original())
 	st.Close()
 
@@ -113,7 +119,11 @@ func TestStreamParallelTraceMatchesOracleMultiset(t *testing.T) {
 		Variant: nest.Twisted(), Workers: workers,
 		WrapWork: func(worker int, _ func(o, i tree.NodeID)) func(o, i tree.NodeID) {
 			sk := sinks[worker]
-			return func(o, i tree.NodeID) { in.Trace(o, i, sk.Emit) }
+			var buf []memsim.Addr
+			return func(o, i tree.NodeID) {
+				buf = in.Trace(o, i, buf[:0])
+				sk.EmitBatch(buf)
+			}
 		},
 	}
 	if _, err := nest.MustNew(run).RunWith(cfg); err != nil {

@@ -46,7 +46,9 @@ type RunResult struct {
 
 	// Stats are the merged engine operation counts (deterministic across
 	// worker counts for a fixed spawn depth); Ops is their weighted total
-	// under the instruction model.
+	// under the instruction model. A sequential job takes them from the
+	// measured traced pass behind MissRates, a parallel job from its
+	// executor run.
 	Stats nest.Stats `json:"stats"`
 	Ops   int64      `json:"ops"`
 
@@ -62,6 +64,8 @@ type RunResult struct {
 	// MissRates are the simulated per-level cache statistics of the traced
 	// sequential run under the spec's geometry (warmup pass, stats reset,
 	// measured pass — the steady-state protocol of internal/experiments).
+	// For a sequential job the measured pass is also the run that Stats,
+	// EngineOps and Checksum report.
 	MissRates []LevelMissRate `json:"miss_rates"`
 }
 
@@ -108,22 +112,10 @@ func (s *RunSpec) exec(ctx context.Context, rec obs.Recorder) (any, error) {
 		Geometry: s.Geometry, Layout: s.Layout, Engine: s.Engine,
 	}
 
-	// Phase 1: the engine run under the requested executor. Merged Stats
-	// are deterministic across worker counts (fixed spawn depth), so the
-	// response body does not depend on scheduling.
-	if s.Workers <= 1 {
-		st, engOps, err := in.RunSeq(ctx, v, configure)
-		if err != nil {
-			return nil, err
-		}
-		if rec != nil {
-			st.Record(rec, "nest")
-			rec.Count("nest.engine.ops", engOps)
-		}
-		res.Stats = st
-		res.EngineOps = engOps
-		res.Tasks = 1
-	} else {
+	// A parallel job's engine signals come from the requested executor.
+	// Merged Stats are deterministic across worker counts (fixed spawn
+	// depth), so the response body does not depend on scheduling.
+	if s.Workers > 1 {
 		r, err := in.RunWith(nest.RunConfig{
 			Variant:  v,
 			Workers:  s.Workers,
@@ -137,15 +129,14 @@ func (s *RunSpec) exec(ctx context.Context, rec obs.Recorder) (any, error) {
 		res.Stats = r.Stats
 		res.EngineOps = r.EngineOps
 		res.Tasks = r.Tasks
+		res.Checksum = obs.FormatUint(in.Checksum())
 	}
-	res.Ops = res.Stats.Ops()
-	res.Checksum = obs.FormatUint(in.Checksum())
 
-	// Phase 2: simulated miss rates from the traced *sequential* run — one
-	// sink, so the simulated access order (and thus every counter) is a
-	// pure function of the spec, independent of the engine worker count.
-	// The spec's layout applies here: node addresses are generated under
-	// the repacked arena (build-order returns the instance unchanged).
+	// Simulated miss rates from the traced *sequential* run — one sink, so
+	// the simulated access order (and thus every counter) is a pure function
+	// of the spec, independent of the engine worker count. The spec's layout
+	// applies here: node addresses are generated under the repacked arena
+	// (build-order returns the instance unchanged).
 	lk, err := layout.ParseKind(s.Layout)
 	if err != nil {
 		return nil, err
@@ -160,19 +151,35 @@ func (s *RunSpec) exec(ctx context.Context, rec obs.Recorder) (any, error) {
 	}
 	sim := memsim.MustNew(memsim.Config{Levels: levels, SimWorkers: s.SimWorkers})
 	defer sim.Close()
-	tracedRun := func() error {
+	tracedRun := func() (nest.Stats, int64, error) {
 		st := memsim.NewStream(sim, 0)
-		_, _, err := lin.RunSink(ctx, v, st.Sink(), configure)
+		stats, engOps, err := lin.RunSink(ctx, v, st.Sink(), configure)
 		st.Close()
-		return err
+		return stats, engOps, err
 	}
-	if err := tracedRun(); err != nil { // warmup
+	if _, _, err := tracedRun(); err != nil { // warmup
 		return nil, err
 	}
 	sim.ResetStats()
-	if err := tracedRun(); err != nil {
+	st, engOps, err := tracedRun()
+	if err != nil {
 		return nil, err
 	}
+	// A sequential job's engine signals come from the measured pass: the
+	// trace only observes the visits, so its Stats, EngineOps and checksum
+	// are those of an untraced RunSeq, and a separate engine run would
+	// repeat the same traversal.
+	if s.Workers <= 1 {
+		if rec != nil {
+			st.Record(rec, "nest")
+			rec.Count("nest.engine.ops", engOps)
+		}
+		res.Stats = st
+		res.EngineOps = engOps
+		res.Tasks = 1
+		res.Checksum = obs.FormatUint(in.Checksum())
+	}
+	res.Ops = res.Stats.Ops()
 	if rec != nil {
 		sim.Publish(rec, "serve.memsim")
 	}

@@ -41,16 +41,18 @@ func (in *Instance) WithLayout(outer, inner layout.Scheme) *Instance {
 	im := memsim.Remapper{Base: baseInnerNodes, Stride: memsim.Addr(inner.StrideBytes()), Perm: inner.Remap}
 	trace := in.Trace
 	cp := *in
-	cp.Trace = func(o, i tree.NodeID, emit func(memsim.Addr)) {
-		trace(o, i, func(a memsim.Addr) {
+	cp.Trace = func(o, i tree.NodeID, buf []memsim.Addr) []memsim.Addr {
+		n := len(buf)
+		buf = trace(o, i, buf)
+		for k, a := range buf[n:] {
 			switch {
 			case a >= baseOuterNodes && a < baseInnerNodes:
-				a = om.Addr(int32((a - baseOuterNodes) / nodeStride))
+				buf[n+k] = om.Addr(int32((a - baseOuterNodes) / nodeStride))
 			case a >= baseInnerNodes && a < baseOuterData:
-				a = im.Addr(int32((a - baseInnerNodes) / nodeStride))
+				buf[n+k] = im.Addr(int32((a - baseInnerNodes) / nodeStride))
 			}
-			emit(a)
-		})
+		}
+		return buf
 	}
 	return &cp
 }

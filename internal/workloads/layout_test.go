@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"twist/internal/layout"
@@ -131,9 +132,10 @@ func TestLayoutOracleInvariance(t *testing.T) {
 					// state (see OracleSpec), and the layout wrapper still
 					// runs on every visit.
 					var seq []oracle.Visit
+					var buf []memsim.Addr
 					s := lin.Spec
 					s.Work = func(o, i tree.NodeID) {
-						lin.Trace(o, i, func(memsim.Addr) {})
+						buf = lin.Trace(o, i, buf[:0])
 						seq = append(seq, oracle.Visit{O: o, I: i})
 					}
 					nest.MustNew(s).Run(v)
@@ -149,7 +151,8 @@ func TestLayoutOracleInvariance(t *testing.T) {
 
 // TestWithLayoutRemapsRegions pins the address arithmetic: under a
 // reordering scheme, a node access lands at base + remap[id]*stride within
-// the same region, and data accesses are untouched.
+// the same region, and data accesses are untouched. Only the appended tail
+// is rewritten: addresses already in the caller's buffer stay as they are.
 func TestWithLayoutRemapsRegions(t *testing.T) {
 	in := TreeJoin(64, 1)
 	outer, inner, err := in.LayoutSchemes(layout.VEB, nest.Original())
@@ -158,13 +161,14 @@ func TestWithLayoutRemapsRegions(t *testing.T) {
 	}
 	lin := in.WithLayout(outer, inner)
 	o, i := in.Spec.Outer.Root(), in.Spec.Inner.Root()
-	var got []memsim.Addr
-	lin.Trace(o, i, func(a memsim.Addr) { got = append(got, a) })
+	prefix := baseOuterNodes + 5*nodeStride
+	got := lin.Trace(o, i, []memsim.Addr{prefix})
 	want := []memsim.Addr{
+		prefix,
 		baseInnerNodes + memsim.Addr(inner.Offset(i)),
 		baseOuterNodes + memsim.Addr(outer.Offset(o)),
 	}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+	if !slices.Equal(got, want) {
 		t.Fatalf("trace = %v, want %v", got, want)
 	}
 }

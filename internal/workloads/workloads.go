@@ -69,9 +69,13 @@ type Instance struct {
 	// performed during the last run, in instruction-model units.
 	ExtraOps func() int64
 
-	// Trace appends the addresses one work(o, i) invocation touches, in
-	// access order (inner structure first, per the paper's examples).
-	Trace func(o, i tree.NodeID, emit func(memsim.Addr))
+	// Trace appends the addresses one work(o, i) invocation touches to buf,
+	// in access order (inner structure first, per the paper's examples), and
+	// returns the extended slice. It holds no state of its own, so
+	// concurrent callers (one per parallel worker) are safe as long as each
+	// passes its own buffer; reusing that buffer (buf[:0]) keeps the traced
+	// hot path free of allocation.
+	Trace func(o, i tree.NodeID, buf []memsim.Addr) []memsim.Addr
 
 	// ForTask derives a task-private Spec for the parallel executor (pass
 	// it as nest.RunConfig.ForTask with the unmodified Spec as the base):
@@ -84,13 +88,18 @@ type Instance struct {
 }
 
 // TracedSpec returns a copy of the Spec whose Work additionally replays its
-// memory accesses into emit. Use a fresh Reset before running it.
+// memory accesses into emit, one address at a time, from a buffer the Spec
+// reuses across visits — so the Spec is for one sequential run at a time.
+// Use a fresh Reset before running it.
 func (in *Instance) TracedSpec(emit func(memsim.Addr)) nest.Spec {
 	s := in.Spec
-	work := s.Work
-	trace := in.Trace
+	trace, work := in.Trace, s.Work
+	var buf []memsim.Addr
 	s.Work = func(o, i tree.NodeID) {
-		trace(o, i, emit)
+		buf = trace(o, i, buf[:0])
+		for _, a := range buf {
+			emit(a)
+		}
 		work(o, i)
 	}
 	return s
@@ -137,18 +146,19 @@ func (in *Instance) RunEmit(ctx context.Context, v nest.Variant, emit func(memsi
 }
 
 // RunSink is the batched form of RunEmit for simulator pipelines: each
-// visit's accesses are gathered into a reusable scratch buffer and handed to
-// sink as one EmitBatch call, amortizing the per-address emission cost on
-// the trace hot path. Batch boundaries — and therefore simulated stats —
-// are identical to emitting address-by-address.
+// visit's accesses are appended to one scratch buffer reused across the run
+// and handed to sink as one EmitBatch call, so the traced hot path neither
+// allocates nor pays a call per address. Batch boundaries — and therefore
+// simulated stats — are identical to emitting address-by-address. The trace
+// only observes the visits, so the returned Stats, EngineOps and checksum
+// are those of RunSeq with the same configure.
 func (in *Instance) RunSink(ctx context.Context, v nest.Variant, sink *memsim.Sink, configure func(*nest.Exec)) (nest.Stats, int64, error) {
 	in.Reset()
 	var scratch []memsim.Addr
 	trace, work := in.Trace, in.Spec.Work
 	s := in.Spec
 	s.Work = func(o, i tree.NodeID) {
-		scratch = scratch[:0]
-		trace(o, i, func(a memsim.Addr) { scratch = append(scratch, a) })
+		scratch = trace(o, i, scratch[:0])
 		sink.EmitBatch(scratch)
 		work(o, i)
 	}
@@ -284,9 +294,8 @@ func TreeJoin(n int, seed int64) *Instance {
 			sh.fold(func(c *tjCells) { works += c.works })
 			return works * 16
 		},
-		Trace: func(o, i tree.NodeID, emit func(memsim.Addr)) {
-			emit(baseInnerNodes + memsim.Addr(i)*nodeStride)
-			emit(baseOuterNodes + memsim.Addr(o)*nodeStride)
+		Trace: func(o, i tree.NodeID, buf []memsim.Addr) []memsim.Addr {
+			return append(buf, baseInnerNodes+memsim.Addr(i)*nodeStride, baseOuterNodes+memsim.Addr(o)*nodeStride)
 		},
 	}
 	in.Spec = makeSpec(&base)
@@ -363,19 +372,19 @@ func MatMul(n int, seed int64) *Instance {
 			sh.fold(func(n *int64) { p += *n })
 			return p * int64(n) * 2
 		},
-		Trace: func(o, i tree.NodeID, emit func(memsim.Addr)) {
+		Trace: func(o, i tree.NodeID, buf []memsim.Addr) []memsim.Addr {
 			r, cl := rowIdx[o], colIdx[i]
 			if r < 0 || cl < 0 {
-				return
+				return buf
 			}
 			// The dot product streams one column of B and one row of A.
 			for k := int32(0); k < int32(n); k += lineFloats {
-				emit(baseMatB + memsim.Addr(cl*int32(n)+k)*8)
+				buf = append(buf, baseMatB+memsim.Addr(cl*int32(n)+k)*8)
 			}
 			for k := int32(0); k < int32(n); k += lineFloats {
-				emit(baseMatA + memsim.Addr(r*int32(n)+k)*8)
+				buf = append(buf, baseMatA+memsim.Addr(r*int32(n)+k)*8)
 			}
-			emit(baseMatC + memsim.Addr(r*int32(n)+cl)*8)
+			return append(buf, baseMatC+memsim.Addr(r*int32(n)+cl)*8)
 		},
 	}
 	makeSpec := func(pairs *int64) nest.Spec {
@@ -412,22 +421,22 @@ func MatMul(n int, seed int64) *Instance {
 // streams both leaves' point data.
 func dualTraced(query, ref interface {
 	NodePoints(tree.NodeID) []geom.Point
-}, qTopo, rTopo *tree.Topology, qStart, rStart []int32) func(o, i tree.NodeID, emit func(memsim.Addr)) {
+}, qTopo, rTopo *tree.Topology, qStart, rStart []int32) func(o, i tree.NodeID, buf []memsim.Addr) []memsim.Addr {
 	const ptBytes = 24 // 3 float64 coordinates
-	return func(o, i tree.NodeID, emit func(memsim.Addr)) {
-		emit(baseInnerNodes + memsim.Addr(i)*nodeStride)
-		emit(baseOuterNodes + memsim.Addr(o)*nodeStride)
+	return func(o, i tree.NodeID, buf []memsim.Addr) []memsim.Addr {
+		buf = append(buf, baseInnerNodes+memsim.Addr(i)*nodeStride, baseOuterNodes+memsim.Addr(o)*nodeStride)
 		if !qTopo.IsLeaf(o) || !rTopo.IsLeaf(i) {
-			return
+			return buf
 		}
 		nq := int32(len(query.NodePoints(o)))
 		nr := int32(len(ref.NodePoints(i)))
 		for k := int32(0); k*64 < nr*ptBytes; k++ {
-			emit(baseInnerData + memsim.Addr(rStart[i])*ptBytes + memsim.Addr(k)*64)
+			buf = append(buf, baseInnerData+memsim.Addr(rStart[i])*ptBytes+memsim.Addr(k)*64)
 		}
 		for k := int32(0); k*64 < nq*ptBytes; k++ {
-			emit(baseOuterData + memsim.Addr(qStart[o])*ptBytes + memsim.Addr(k)*64)
+			buf = append(buf, baseOuterData+memsim.Addr(qStart[o])*ptBytes+memsim.Addr(k)*64)
 		}
+		return buf
 	}
 }
 

@@ -3,6 +3,7 @@ package workloads
 import (
 	"testing"
 
+	"twist/internal/layout"
 	"twist/internal/memsim"
 	"twist/internal/nest"
 	"twist/internal/tree"
@@ -148,5 +149,47 @@ func TestDualTreeIterationShape(t *testing.T) {
 	if !(inter.Iterations > tw.Iterations && tw.Iterations >= orig.Iterations) {
 		t.Fatalf("iteration shape violated: orig=%d tw=%d inter=%d",
 			orig.Iterations, tw.Iterations, inter.Iterations)
+	}
+}
+
+// A traced pass allocates O(1) objects per run, not per visit: RunSink and
+// RunEmit reuse one trace buffer, and the layout rewrite works in place.
+// PC under the vEB layout doubles its visits from scale 512 to 1024, so an
+// allocation on the per-visit path shows as a count that grows with scale.
+// Not parallel: AllocsPerRun counts the mallocs of every running goroutine.
+func TestTracedPassAllocationsDoNotScale(t *testing.T) {
+	const bound = 16
+	counts := func(scale int) (sink, emit float64) {
+		in, err := ByName("PC", scale, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lin, err := in.UnderLayout(layout.VEB, nest.Twisted())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim := memsim.MustNew(memsim.Config{Levels: memsim.DefaultLevels()})
+		defer sim.Close()
+		st := memsim.NewStream(sim, 0)
+		sk := st.Sink()
+		var n int64
+		sink = testing.AllocsPerRun(3, func() {
+			if _, _, err := lin.RunSink(nil, nest.Twisted(), sk, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		emit = testing.AllocsPerRun(3, func() {
+			if _, _, err := lin.RunEmit(nil, nest.Twisted(), func(memsim.Addr) { n++ }, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		st.Close()
+		return sink, emit
+	}
+	sink512, emit512 := counts(512)
+	sink1024, emit1024 := counts(1024)
+	if sink512 != sink1024 || emit512 != emit1024 || sink1024 > bound || emit1024 > bound {
+		t.Fatalf("allocations per traced pass: RunSink %.0f at scale 512, %.0f at 1024; RunEmit %.0f, %.0f; want equal and at most %d",
+			sink512, sink1024, emit512, emit1024, bound)
 	}
 }
