@@ -136,6 +136,16 @@ func TestKNNMatchesBruteForceAllSchedules(t *testing.T) {
 					}
 				}
 			}
+			next := 0
+			kn.EachResult(func(qi int, idx []int32) {
+				if qi != next || !slices.Equal(idx, wantI[qi]) {
+					t.Fatalf("k=%d %v: EachResult call %d gave query %d indices %v", k, v, next, qi, idx)
+				}
+				next++
+			})
+			if next != len(qpts) {
+				t.Fatalf("k=%d %v: EachResult visited %d of %d queries", k, v, next, len(qpts))
+			}
 		}
 	}
 }
@@ -192,7 +202,7 @@ func TestKheap(t *testing.T) {
 	for _, d := range []float64{5, 1, 9, 3, 7, 2} {
 		h.offer(neighbor{d: d, idx: int32(d)})
 	}
-	ns := h.sorted()
+	ns := h.sortedInto(nil)
 	if len(ns) != 3 || ns[0].d != 1 || ns[1].d != 2 || ns[2].d != 3 {
 		t.Fatalf("sorted = %v", ns)
 	}

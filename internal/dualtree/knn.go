@@ -77,11 +77,19 @@ func (h *kheap) offer(n neighbor) {
 	}
 }
 
-// sorted returns the neighbors ascending by (distance, index).
-func (h *kheap) sorted() []neighbor {
-	out := append([]neighbor(nil), h.ns...)
-	sort.Slice(out, func(a, b int) bool { return worse(out[b], out[a]) })
-	return out
+// sortedInto appends the neighbors to buf ascending by (distance, index)
+// and returns the extended slice. An insertion sort: k is small, and the
+// order is total, since a heap never holds one reference index twice.
+func (h *kheap) sortedInto(buf []neighbor) []neighbor {
+	n := len(buf)
+	buf = append(buf, h.ns...)
+	out := buf[n:]
+	for a := 1; a < len(out); a++ {
+		for b := a; b > 0 && worse(out[b-1], out[b]); b-- {
+			out[b-1], out[b] = out[b], out[b-1]
+		}
+	}
+	return buf
 }
 
 // KNN is dual-tree k-nearest-neighbors: for every query point, find the k
@@ -192,13 +200,30 @@ func (kn *KNN) SpecInto(bound []float64, pairOps *int64) nest.Spec {
 // Result returns, for original query point q, the sorted (ascending) squared
 // distances and reference indices of its k nearest neighbors.
 func (kn *KNN) Result(q int) ([]float64, []int32) {
-	ns := kn.Heaps[q].sorted()
+	ns := kn.Heaps[q].sortedInto(nil)
 	ds := make([]float64, len(ns))
 	is := make([]int32, len(ns))
 	for k, n := range ns {
 		ds[k], is[k] = n.d, n.idx
 	}
 	return ds, is
+}
+
+// EachResult calls f(q, idx) for every original query point q in order,
+// where idx holds q's nearest reference indices in Result's order. idx is
+// one buffer reused across calls, so f must not keep it; the whole sweep
+// allocates two k-element buffers instead of Result's copies per point.
+func (kn *KNN) EachResult(f func(q int, idx []int32)) {
+	ns := make([]neighbor, 0, kn.K)
+	idx := make([]int32, 0, kn.K)
+	for q := range kn.Heaps {
+		ns = kn.Heaps[q].sortedInto(ns[:0])
+		idx = idx[:0]
+		for _, n := range ns {
+			idx = append(idx, n.idx)
+		}
+		f(q, idx)
+	}
 }
 
 // BruteKNN is the oracle: exhaustive k-nearest-neighbors with the same tie

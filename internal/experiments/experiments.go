@@ -161,21 +161,19 @@ func missRates(in *workloads.Instance, v nest.Variant) []memsim.LevelStats {
 // way for the same delivered trace (DESIGN.md §4.8), so the dimension buys
 // simulation throughput without perturbing any deterministic signal.
 //
-// A Stream is single-shot (Close flushes and seals it), so each of the two
-// runs — warmup then measure — builds a fresh Stream over the one persistent
-// simulator; ResetStats between them implements the warmup/measure protocol.
+// With workers <= 1 the warm-up/measure protocol is workloads'
+// Instance.RunSteady, the one serve's run jobs use: its measured pass
+// replays the warm-up pass. The merge mode runs the parallel traced
+// execution twice, each time into a fresh Stream (a Stream is single-shot:
+// Close flushes and seals it) over the one persistent simulator, with
+// ResetStats between the two runs.
 func missRatesWith(in *workloads.Instance, v nest.Variant, workers, simWorkers int) ([]memsim.LevelStats, error) {
 	sim := newSim(simWorkers)
 	defer sim.Close()
 	var last *memsim.Stream
-	run := func() error {
+	run := func() error { // one merge-mode pass
 		st := memsim.NewStream(sim, 0)
 		last = st
-		if workers <= 1 {
-			_, _, err := in.RunSink(nil, v, st.Sink(), nil)
-			st.Close()
-			return err
-		}
 		in.Reset()
 		sinks := make([]*memsim.Sink, workers)
 		for w := range sinks {
@@ -205,11 +203,14 @@ func missRatesWith(in *workloads.Instance, v nest.Variant, workers, simWorkers i
 		st.Close()
 		return nil
 	}
-	if err := run(); err != nil { // warmup
-		return nil, err
+	var err error
+	if workers <= 1 {
+		_, _, last, err = in.RunSteady(nil, v, sim, nil)
+	} else if err = run(); err == nil { // warmup
+		sim.ResetStats()
+		err = run()
 	}
-	sim.ResetStats()
-	if err := run(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	sim.Publish(rec, fmt.Sprintf("memsim.%s.%v", in.Name, v))

@@ -227,6 +227,42 @@ func VEBRemap(t *tree.Topology) Remap {
 	return r
 }
 
+// FirstTouch is the schedule-order slot rule for one arena: the k-th
+// distinct node touched gets slot k. A node's slot is therefore fixed at
+// its first touch, so a traversal can generate schedule-order addresses as
+// it goes (workloads.Instance.SequentialLayout) instead of recording a
+// whole run first (ScheduleRemaps); both use this one rule.
+type FirstTouch struct {
+	// Remap holds the slot of every node touched so far and -1 for the
+	// rest, until Finish completes it.
+	Remap Remap
+	next  int32
+}
+
+// NewFirstTouch returns the rule for an arena of n nodes, none touched.
+func NewFirstTouch(n int) *FirstTouch {
+	r := make(Remap, n)
+	for id := range r {
+		r[id] = -1
+	}
+	return &FirstTouch{Remap: r}
+}
+
+// Touch gives id the next free slot if this is its first touch.
+func (f *FirstTouch) Touch(id tree.NodeID) {
+	if f.Remap[id] < 0 {
+		f.Remap[id] = f.next
+		f.next++
+	}
+}
+
+// Finish gives every untouched node a slot after all touched ones, in build
+// order, and returns the now complete permutation.
+func (f *FirstTouch) Finish() Remap {
+	fillUnassigned(f.Remap, f.next)
+	return f.Remap
+}
+
 // ScheduleRemaps runs spec under schedule variant v and returns the
 // first-touch remaps of the outer and inner arenas: node n is stored at
 // slot k iff n was the k-th distinct node of its tree touched by a Work
@@ -237,19 +273,12 @@ func VEBRemap(t *tree.Topology) Remap {
 // same seed) — first-touch order is deterministic for a fixed spec and
 // variant, which is what makes the layout reproducible.
 func ScheduleRemaps(spec nest.Spec, v nest.Variant) (outer, inner Remap, err error) {
-	ro := newUnassigned(spec.Outer.Len())
-	ri := newUnassigned(spec.Inner.Len())
-	var no, ni int32
+	fo := NewFirstTouch(spec.Outer.Len())
+	fi := NewFirstTouch(spec.Inner.Len())
 	work := spec.Work
 	spec.Work = func(o, i tree.NodeID) {
-		if ro[o] < 0 {
-			ro[o] = no
-			no++
-		}
-		if ri[i] < 0 {
-			ri[i] = ni
-			ni++
-		}
+		fo.Touch(o)
+		fi.Touch(i)
 		if work != nil {
 			work(o, i)
 		}
@@ -259,17 +288,7 @@ func ScheduleRemaps(spec nest.Spec, v nest.Variant) (outer, inner Remap, err err
 		return nil, nil, err
 	}
 	e.Run(v)
-	fillUnassigned(ro, no)
-	fillUnassigned(ri, ni)
-	return ro, ri, nil
-}
-
-func newUnassigned(n int) Remap {
-	r := make(Remap, n)
-	for id := range r {
-		r[id] = -1
-	}
-	return r
+	return fo.Finish(), fi.Finish(), nil
 }
 
 // fillUnassigned gives every slot-less node (unreachable or never touched)

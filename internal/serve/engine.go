@@ -46,9 +46,10 @@ type RunResult struct {
 
 	// Stats are the merged engine operation counts (deterministic across
 	// worker counts for a fixed spawn depth); Ops is their weighted total
-	// under the instruction model. A sequential job takes them from the
-	// measured traced pass behind MissRates, a parallel job from its
-	// executor run.
+	// under the instruction model. A sequential job takes them, with
+	// EngineOps and Checksum, from the warm-up traced pass behind MissRates
+	// (the one pass that runs the Work kernels; workloads.RunSteady), a
+	// parallel job from its executor run.
 	Stats nest.Stats `json:"stats"`
 	Ops   int64      `json:"ops"`
 
@@ -62,10 +63,12 @@ type RunResult struct {
 	Tasks int64 `json:"tasks"`
 
 	// MissRates are the simulated per-level cache statistics of the traced
-	// sequential run under the spec's geometry (warmup pass, stats reset,
-	// measured pass — the steady-state protocol of internal/experiments).
-	// For a sequential job the measured pass is also the run that Stats,
-	// EngineOps and Checksum report.
+	// sequential run under the spec's geometry: a warm-up pass, a stats
+	// reset, then the measured pass, which replays the warm-up pass's
+	// recorded truncation answers instead of re-running the kernels
+	// (workloads.RunSteady, the protocol internal/experiments shares). For a
+	// sequential job the warm-up pass is also the run that Stats, EngineOps
+	// and Checksum report.
 	MissRates []LevelMissRate `json:"miss_rates"`
 }
 
@@ -136,12 +139,13 @@ func (s *RunSpec) exec(ctx context.Context, rec obs.Recorder) (any, error) {
 	// the simulated access order (and thus every counter) is a pure function
 	// of the spec, independent of the engine worker count. The spec's layout
 	// applies here: node addresses are generated under the repacked arena
-	// (build-order returns the instance unchanged).
+	// (build-order returns the instance unchanged, and schedule order is
+	// realized online, as the warm-up pass first touches each node).
 	lk, err := layout.ParseKind(s.Layout)
 	if err != nil {
 		return nil, err
 	}
-	lin, err := in.UnderLayout(lk, v)
+	lin, err := in.SequentialLayout(lk, v)
 	if err != nil {
 		return nil, err
 	}
@@ -151,24 +155,13 @@ func (s *RunSpec) exec(ctx context.Context, rec obs.Recorder) (any, error) {
 	}
 	sim := memsim.MustNew(memsim.Config{Levels: levels, SimWorkers: s.SimWorkers})
 	defer sim.Close()
-	tracedRun := func() (nest.Stats, int64, error) {
-		st := memsim.NewStream(sim, 0)
-		stats, engOps, err := lin.RunSink(ctx, v, st.Sink(), configure)
-		st.Close()
-		return stats, engOps, err
-	}
-	if _, _, err := tracedRun(); err != nil { // warmup
-		return nil, err
-	}
-	sim.ResetStats()
-	st, engOps, err := tracedRun()
+	st, engOps, _, err := lin.RunSteady(ctx, v, sim, configure)
 	if err != nil {
 		return nil, err
 	}
-	// A sequential job's engine signals come from the measured pass: the
-	// trace only observes the visits, so its Stats, EngineOps and checksum
-	// are those of an untraced RunSeq, and a separate engine run would
-	// repeat the same traversal.
+	// A sequential job's engine signals come from the warm-up pass, the one
+	// pass that runs the Work kernels: an untraced RunSeq would repeat the
+	// same traversal, and the measured pass only replays it.
 	if s.Workers <= 1 {
 		if rec != nil {
 			st.Record(rec, "nest")
@@ -253,7 +246,7 @@ func (s *MissCurveSpec) exec(ctx context.Context, rec obs.Recorder) (any, error)
 	if err != nil {
 		return nil, err
 	}
-	lin, err := in.UnderLayout(lk, v)
+	lin, err := in.SequentialLayout(lk, v)
 	if err != nil {
 		return nil, err
 	}

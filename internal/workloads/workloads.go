@@ -74,7 +74,9 @@ type Instance struct {
 	// returns the extended slice. It holds no state of its own, so
 	// concurrent callers (one per parallel worker) are safe as long as each
 	// passes its own buffer; reusing that buffer (buf[:0]) keeps the traced
-	// hot path free of allocation.
+	// hot path free of allocation. The one exception is the Trace of a
+	// SequentialLayout instance under the schedule layout, which assigns
+	// slots as it goes: it is stateful, and only for one sequential run.
 	Trace func(o, i tree.NodeID, buf []memsim.Addr) []memsim.Addr
 
 	// ForTask derives a task-private Spec for the parallel executor (pass
@@ -123,26 +125,14 @@ func (in *Instance) Run(v nest.Variant, fm nest.FlagMode) nest.Stats {
 // (nest.Exec.EngineOps), and the context error, if any. ctx may be nil.
 func (in *Instance) RunSeq(ctx context.Context, v nest.Variant, configure func(*nest.Exec)) (nest.Stats, int64, error) {
 	in.Reset()
-	e := nest.MustNew(in.Spec)
-	if configure != nil {
-		configure(e)
-	}
-	err := e.RunContext(ctx, v)
-	e.Stats.ExtraOps = in.ExtraOps()
-	return e.Stats, e.EngineOps(), err
+	return in.runSpec(ctx, in.Spec, v, configure)
 }
 
 // RunEmit is RunSeq over the traced spec: every visit's memory accesses are
 // replayed, in access order, into emit before the visit's work runs.
 func (in *Instance) RunEmit(ctx context.Context, v nest.Variant, emit func(memsim.Addr), configure func(*nest.Exec)) (nest.Stats, int64, error) {
 	in.Reset()
-	e := nest.MustNew(in.TracedSpec(emit))
-	if configure != nil {
-		configure(e)
-	}
-	err := e.RunContext(ctx, v)
-	e.Stats.ExtraOps = in.ExtraOps()
-	return e.Stats, e.EngineOps(), err
+	return in.runSpec(ctx, in.TracedSpec(emit), v, configure)
 }
 
 // RunSink is the batched form of RunEmit for simulator pipelines: each
@@ -151,17 +141,22 @@ func (in *Instance) RunEmit(ctx context.Context, v nest.Variant, emit func(memsi
 // allocates nor pays a call per address. Batch boundaries — and therefore
 // simulated stats — are identical to emitting address-by-address. The trace
 // only observes the visits, so the returned Stats, EngineOps and checksum
-// are those of RunSeq with the same configure.
+// are those of RunSeq with the same configure. Every RunSink pass runs the
+// Work kernels; the warm-up/measure protocol of RunSteady runs them once
+// and replays the second pass, for the same simulated stats.
 func (in *Instance) RunSink(ctx context.Context, v nest.Variant, sink *memsim.Sink, configure func(*nest.Exec)) (nest.Stats, int64, error) {
-	in.Reset()
 	var scratch []memsim.Addr
-	trace, work := in.Trace, in.Spec.Work
-	s := in.Spec
-	s.Work = func(o, i tree.NodeID) {
+	trace := in.Trace
+	return in.record(ctx, v, configure, nil, func(o, i tree.NodeID) {
 		scratch = trace(o, i, scratch[:0])
 		sink.EmitBatch(scratch)
-		work(o, i)
-	}
+	})
+}
+
+// runSpec runs s, a form of in.Spec, under v on a fresh Exec after
+// configure, and returns its Stats with ExtraOps folded in, its EngineOps
+// and the context error.
+func (in *Instance) runSpec(ctx context.Context, s nest.Spec, v nest.Variant, configure func(*nest.Exec)) (nest.Stats, int64, error) {
 	e := nest.MustNew(s)
 	if configure != nil {
 		configure(e)
@@ -522,7 +517,7 @@ func KNearest(n, k int, seed int64) *Instance {
 		Description: fmt.Sprintf("dual-tree %d-nearest neighbor, %d points", k, n),
 		Spec:        kn.Spec(),
 		Reset:       func() { kn.Reset(); sh.reset() },
-		Checksum:    func() uint64 { return knnChecksum(kn, n) },
+		Checksum:    func() uint64 { return knnChecksum(kn) },
 		ExtraOps: func() int64 {
 			ops := kn.PairOps
 			sh.fold(func(n *int64) { ops += *n })
@@ -546,7 +541,7 @@ func VPKNearest(n, k int, seed int64) *Instance {
 		Description: fmt.Sprintf("vp-tree %d-nearest neighbor self-join, %d points", k, n),
 		Spec:        kn.Spec(),
 		Reset:       func() { kn.Reset(); sh.reset() },
-		Checksum:    func() uint64 { return knnChecksum(kn, n) },
+		Checksum:    func() uint64 { return knnChecksum(kn) },
 		ExtraOps: func() int64 {
 			ops := kn.PairOps
 			sh.fold(func(n *int64) { ops += *n })
@@ -559,14 +554,15 @@ func VPKNearest(n, k int, seed int64) *Instance {
 	}
 }
 
-func knnChecksum(kn *dualtree.KNN, n int) uint64 {
+// knnChecksum mixes every query point's neighbor indices, ascending by
+// (distance, index), into one hash.
+func knnChecksum(kn *dualtree.KNN) uint64 {
 	var h uint64 = 14695981039346656037
-	for q := 0; q < n; q++ {
-		_, is := kn.Result(q)
-		for _, i := range is {
+	kn.EachResult(func(_ int, idx []int32) {
+		for _, i := range idx {
 			h = mix(h, uint64(i))
 		}
-	}
+	})
 	return h
 }
 
