@@ -192,10 +192,14 @@ func VEBRemap(t *tree.Topology) Remap {
 		r[id] = -1
 	}
 	var next int32
-	// assign lays out the first h levels of the subtree at root and appends
-	// the roots of the subtrees hanging below level h to *frontier.
-	var assign func(root tree.NodeID, h int, frontier *[]tree.NodeID)
-	assign = func(root tree.NodeID, h int, frontier *[]tree.NodeID) {
+	// frontier is one buffer shared by every region. assign lays out the
+	// first h levels of the subtree at root and appends the roots of the
+	// subtrees hanging below level h to it. A split keeps its top region's
+	// frontier in frontier[lo:hi] while the bottom regions append theirs
+	// above it, then closes the gap, so nothing is allocated per region.
+	var frontier []tree.NodeID
+	var assign func(root tree.NodeID, h int)
+	assign = func(root tree.NodeID, h int) {
 		if root == tree.Nil {
 			return
 		}
@@ -203,25 +207,26 @@ func VEBRemap(t *tree.Topology) Remap {
 			r[root] = next
 			next++
 			if l := t.Left(root); l != tree.Nil {
-				*frontier = append(*frontier, l)
+				frontier = append(frontier, l)
 			}
 			if rt := t.Right(root); rt != tree.Nil {
-				*frontier = append(*frontier, rt)
+				frontier = append(frontier, rt)
 			}
 			return
 		}
 		topH := (h + 1) / 2
-		var mid []tree.NodeID
-		assign(root, topH, &mid)
-		for _, m := range mid {
-			assign(m, h-topH, frontier)
+		lo := len(frontier)
+		assign(root, topH)
+		hi := len(frontier)
+		for k := lo; k < hi; k++ {
+			assign(frontier[k], h-topH)
 		}
+		frontier = frontier[:lo+copy(frontier[lo:], frontier[hi:])]
 	}
 	if n > 0 {
 		// Height()+1 levels cover the whole tree, so the frontier comes back
 		// empty and every reachable node gets a slot.
-		var rest []tree.NodeID
-		assign(t.Root(), t.Height()+1, &rest)
+		assign(t.Root(), t.Height()+1)
 	}
 	fillUnassigned(r, next)
 	return r

@@ -134,6 +134,54 @@ func TestVEBRootFirst(t *testing.T) {
 	}
 }
 
+// TestVEBRemapMatchesReference pins VEBRemap's slot order to the plain
+// recursive definition, which gives every region a frontier slice of its
+// own: VEBRemap shares one frontier buffer across regions, and the slots it
+// assigns must not change with that (the veb rows of the serve suite golden
+// and the layout baseline depend on them).
+func TestVEBRemapMatchesReference(t *testing.T) {
+	reference := func(topo *tree.Topology) Remap {
+		r := make(Remap, topo.Len())
+		for id := range r {
+			r[id] = -1
+		}
+		var next int32
+		var assign func(root tree.NodeID, h int) []tree.NodeID
+		assign = func(root tree.NodeID, h int) []tree.NodeID {
+			if h == 1 {
+				r[root] = next
+				next++
+				var below []tree.NodeID
+				for _, c := range []tree.NodeID{topo.Left(root), topo.Right(root)} {
+					if c != tree.Nil {
+						below = append(below, c)
+					}
+				}
+				return below
+			}
+			topH := (h + 1) / 2
+			var below []tree.NodeID
+			for _, m := range assign(root, topH) {
+				below = append(below, assign(m, h-topH)...)
+			}
+			return below
+		}
+		if topo.Len() > 0 {
+			assign(topo.Root(), topo.Height()+1)
+		}
+		fillUnassigned(r, next)
+		return r
+	}
+	for name, topo := range topologies(t) {
+		got, want := VEBRemap(topo), reference(topo)
+		for id := range want {
+			if got[id] != want[id] {
+				t.Fatalf("%s: node %d at slot %d, reference slot %d", name, id, got[id], want[id])
+			}
+		}
+	}
+}
+
 func TestScheduleRemapsFirstTouch(t *testing.T) {
 	outer := tree.NewBalanced(63)
 	inner := tree.NewBalanced(63)

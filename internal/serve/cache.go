@@ -6,96 +6,105 @@ import (
 	"sync"
 )
 
-// resultCache is the content-addressed LRU over finished job results. Keys
-// are spec digests (Digest), values are the exact marshaled result bytes —
-// caching bytes rather than structs is what makes a cache hit trivially
-// bit-identical to the original execution.
-type resultCache struct {
+// lru is the bounded LRU map behind the result cache and the spec memo.
+// Capacity <= 0 disables it: every Get misses and Put drops.
+type lru[K comparable, V any] struct {
 	mu      sync.Mutex
 	cap     int
-	order   *list.List // front = most recently used; values are *cacheEntry
-	entries map[string]*list.Element
+	order   *list.List // front = most recently used; values are *lruEntry[K, V]
+	entries map[K]*list.Element
 
 	hits, misses, evictions int64
 }
 
-type cacheEntry struct {
-	digest string
-	body   []byte
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
 }
+
+func newLRU[K comparable, V any](capacity int) *lru[K, V] {
+	return &lru[K, V]{
+		cap:     capacity,
+		order:   list.New(),
+		entries: make(map[K]*list.Element),
+	}
+}
+
+// resultCache is the content-addressed LRU over finished job results. Keys
+// are spec digests (Digest), values are the stored result bytes (the
+// compacted form storedResult returns) — caching bytes rather than structs
+// is what makes a cache hit trivially bit-identical to the original
+// execution.
+type resultCache = lru[string, []byte]
 
 // newResultCache builds a cache holding up to capacity results; capacity
 // <= 0 disables caching (every Get misses, Put drops).
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{
-		cap:     capacity,
-		order:   list.New(),
-		entries: make(map[string]*list.Element),
-	}
-}
+func newResultCache(capacity int) *resultCache { return newLRU[string, []byte](capacity) }
 
-// Get returns the cached result bytes for a digest, promoting the entry.
-func (c *resultCache) Get(digest string) ([]byte, bool) {
+// Get returns the value stored under key, promoting the entry.
+func (c *lru[K, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[digest]
+	el, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.hits++
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).body, true
+	return el.Value.(*lruEntry[K, V]).val, true
 }
 
-// Put stores a result, evicting from the LRU tail past capacity. Callers
-// must not mutate body afterwards (the serve layer never does: result bytes
-// are write-once).
-func (c *resultCache) Put(digest string, body []byte) {
+// Put stores a value, evicting from the LRU tail past capacity. Callers
+// must not mutate val afterwards (the serve layer never does: result bytes
+// are write-once and memoized specs are read-only).
+func (c *lru[K, V]) Put(key K, val V) {
 	if c.cap <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[digest]; ok {
-		// A coalesced flight already published this digest; keep the first
-		// body (identical by the determinism contract) and just promote.
+	if el, ok := c.entries[key]; ok {
+		// A coalesced flight (or a concurrent identical request) already
+		// stored this key; keep the first value (identical by the
+		// determinism contract) and just promote.
 		c.order.MoveToFront(el)
-		el.Value.(*cacheEntry).body = body
 		return
 	}
-	c.entries[digest] = c.order.PushFront(&cacheEntry{digest: digest, body: body})
+	c.entries[key] = c.order.PushFront(&lruEntry[K, V]{key: key, val: val})
 	for c.order.Len() > c.cap {
 		el := c.order.Back()
 		c.order.Remove(el)
-		delete(c.entries, el.Value.(*cacheEntry).digest)
+		delete(c.entries, el.Value.(*lruEntry[K, V]).key)
 		c.evictions++
 	}
 }
 
-// peek returns the cached result bytes for a digest without promoting the
-// entry or touching the hit/miss counters. The fleet router uses it to serve
-// a resident digest locally (the replica-cache read path) instead of
+// peek returns the value stored under key without promoting the entry or
+// touching the hit/miss counters. The fleet router uses it to serve a
+// resident digest locally (the replica-cache read path) instead of
 // forwarding it, and admission uses it for a second look that must leave
 // the statistics of the lookup it repeats untouched.
-func (c *resultCache) peek(digest string) ([]byte, bool) {
+func (c *lru[K, V]) peek(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[digest]; ok {
-		return el.Value.(*cacheEntry).body, true
+	if el, ok := c.entries[key]; ok {
+		return el.Value.(*lruEntry[K, V]).val, true
 	}
-	return nil, false
+	var zero V
+	return zero, false
 }
 
 // Len reports the current entry count.
-func (c *resultCache) Len() int {
+func (c *lru[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
 }
 
 // Counters returns (hits, misses, evictions) since construction.
-func (c *resultCache) Counters() (hits, misses, evictions int64) {
+func (c *lru[K, V]) Counters() (hits, misses, evictions int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.evictions

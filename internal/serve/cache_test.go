@@ -15,10 +15,12 @@ import (
 // and can block on a gate, making admission, coalescing, and drain
 // observable without engine runtime.
 type stubExecutor struct {
-	mu    sync.Mutex
-	calls map[string]int
-	gate  chan struct{} // when non-nil, Execute blocks here (or on ctx)
-	fail  error         // when non-nil, Execute returns it
+	mu      sync.Mutex
+	calls   map[string]int
+	gate    chan struct{} // when non-nil, Execute blocks here (or on ctx)
+	fail    error         // when non-nil, Execute returns it
+	out     []byte        // when non-nil, Execute returns it as the result
+	panicOn string        // Execute panics on this digest, once counted
 }
 
 func newStubExecutor() *stubExecutor {
@@ -29,8 +31,7 @@ func (e *stubExecutor) Execute(ctx context.Context, s Spec) ([]byte, error) {
 	digest := Digest(s)
 	e.mu.Lock()
 	e.calls[digest]++
-	gate := e.gate
-	fail := e.fail
+	gate, fail, out, panicOn := e.gate, e.fail, e.out, e.panicOn
 	e.mu.Unlock()
 	if gate != nil {
 		select {
@@ -39,8 +40,14 @@ func (e *stubExecutor) Execute(ctx context.Context, s Spec) ([]byte, error) {
 			return nil, ctx.Err()
 		}
 	}
+	if digest == panicOn {
+		panic("stub: injected panic")
+	}
 	if fail != nil {
 		return nil, fail
+	}
+	if out != nil {
+		return out, nil
 	}
 	return []byte(fmt.Sprintf(`{"digest":%q}`, digest)), nil
 }

@@ -122,17 +122,21 @@ func (s *Server) clusterServe(w http.ResponseWriter, r *http.Request, kind Kind,
 }
 
 // admitForwarded finishes a successful hop: decode the peer's envelope,
-// admit the result bytes into the local cache (the follower half of the
-// replicated tier — the owner populated its own on execution), and write
-// this node's envelope around the identical bytes. Returns false when the
-// peer's response is unusable (undecodable or for the wrong digest), which
-// the caller treats as a failed hop.
+// admit the result bytes in stored form into the local cache (the follower
+// half of the replicated tier — the owner populated its own on execution),
+// and write this node's envelope around the identical bytes. Returns false
+// when the peer's response is unusable (undecodable or for the wrong
+// digest), which the caller treats as a failed hop.
 func (s *Server) admitForwarded(w http.ResponseWriter, kind Kind, start time.Time, digest, peerID string, peerBody []byte) bool {
 	var env envelope
 	if err := json.Unmarshal(peerBody, &env); err != nil || env.Digest != digest {
 		return false
 	}
-	s.cache.Put(digest, env.Result)
+	result, err := storedResult(env.Result)
+	if err != nil {
+		return false
+	}
+	s.cache.Put(digest, result)
 	s.rec.Count("serve.cache.admit.forwarded", 1)
 	s.rec.Count("serve.fleet.forwarded", 1)
 	if env.Cached {
@@ -140,13 +144,12 @@ func (s *Server) admitForwarded(w http.ResponseWriter, kind Kind, start time.Tim
 	} else {
 		s.rec.Count("serve.fleet.forward.miss", 1)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(envelope{
+	writeEnvelope(w, &envelope{
 		Kind:      kind,
 		Digest:    digest,
 		Cached:    env.Cached,
 		ElapsedNS: time.Since(start).Nanoseconds(),
-		Result:    env.Result,
+		Result:    result,
 		Node:      env.Node,
 		Via:       s.cluster.Self().ID,
 	})

@@ -85,6 +85,11 @@ const DefaultGeometry = "2K/64:8,16K/64:8,128K/64:16"
 // Spec is one job's parameter set. Implementations are the four *Spec
 // types; the set is closed (normalize/exec are unexported), which is what
 // lets the digest double as a complete content address.
+//
+// A normalized spec is shared read-only: the server memoizes it by the
+// bytes of the request it came from and hands the same value to every
+// request with those bytes. exec, Digest and the fleet forwarder only read
+// it, and nothing mutates a spec after Normalize.
 type Spec interface {
 	// Kind reports the job family.
 	Kind() Kind

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,15 +23,19 @@ const maxBodyBytes = 2 << 20
 
 // Executor runs one normalized job spec to its marshaled result bytes. The
 // default executor calls the engine (RunJob et al.); tests inject stubs to
-// make admission and coalescing observable without engine runtime.
+// make admission and coalescing observable without engine runtime. The
+// spec is shared with other requests (see Spec) and must not be mutated.
+// Output that is not valid JSON fails the job; a panic fails it with a 500
+// and leaves the server running.
 type Executor interface {
 	Execute(ctx context.Context, s Spec) ([]byte, error)
 }
 
 // engineExecutor is the production Executor: the spec's own engine call,
 // telemetry recorded into rec, result marshaled once. Because the bytes a
-// cache hit or a coalesced follower receives are these bytes, responses are
-// bit-identical to the direct library call by construction.
+// cache hit or a coalesced follower receives are these bytes (storedResult
+// leaves json.Marshal output unchanged), responses are bit-identical to the
+// direct library call by construction.
 type engineExecutor struct {
 	rec obs.Recorder
 }
@@ -51,8 +57,8 @@ type Config struct {
 	Queue int
 	// Workers is the job worker count; <= 0 means GOMAXPROCS.
 	Workers int
-	// CacheEntries sizes the result LRU: 0 means 256, negative disables
-	// caching.
+	// CacheEntries sizes the result LRU and the spec memo: 0 means 256,
+	// negative disables both.
 	CacheEntries int
 	// JobTimeout is the per-job execution deadline; <= 0 means 60s.
 	JobTimeout time.Duration
@@ -72,13 +78,15 @@ type Config struct {
 }
 
 // Server is the twistd serving core: an http.Handler plus the admission
-// queue, worker pool, result cache, and coalescing index behind it.
-// Construct with New, serve via Handler, stop with BeginDrain/Drain/Close.
+// queue, worker pool, result cache, spec memo, and coalescing index behind
+// it. Construct with New, serve via Handler, stop with
+// BeginDrain/Drain/Close.
 type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
 	pool    *pool
 	cache   *resultCache
+	memo    *specMemo
 	group   *flightGroup
 	exec    Executor
 	cluster *cluster.Node // nil outside fleet mode
@@ -109,6 +117,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		cache:   newResultCache(cfg.CacheEntries),
+		memo:    newLRU[[sha256.Size]byte, memoEntry](cfg.CacheEntries),
 		group:   newFlightGroup(),
 		mem:     obs.NewMemory(),
 		lat:     &latencies{},
@@ -148,7 +157,10 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // envelope is the response wrapper every job endpoint returns. Result is
 // the exact marshaling of the corresponding *Job library call; ElapsedNS is
-// the only field that varies between identical requests.
+// the only field that varies between identical requests. Responses are
+// written by writeEnvelope, which emits exactly what
+// json.NewEncoder(w).Encode(envelope{...}) would; the struct also decodes a
+// peer's envelope.
 type envelope struct {
 	Kind      Kind            `json:"kind"`
 	Digest    string          `json:"digest"`
@@ -162,53 +174,166 @@ type envelope struct {
 	Via  string `json:"via,omitempty"`
 }
 
+// writeEnvelope writes env as a 200 response. env.Result must be in stored
+// form (storedResult): the encoder's own compaction of a RawMessage is then
+// the identity, so the bytes are json.NewEncoder(w).Encode(*env)'s, trailing
+// newline included. They go out as a prefix, the stored result bytes and a
+// suffix with Content-Length set, so a cache hit neither re-validates the
+// result, nor copies it, nor goes out chunked.
+func writeEnvelope(w http.ResponseWriter, env *envelope) {
+	buf := make([]byte, 0, 192+len(env.Node)+len(env.Via))
+	buf = append(buf, `{"kind":`...)
+	buf = appendJSONString(buf, string(env.Kind))
+	buf = append(buf, `,"digest":`...)
+	buf = appendJSONString(buf, env.Digest)
+	buf = append(buf, `,"cached":`...)
+	buf = strconv.AppendBool(buf, env.Cached)
+	buf = append(buf, `,"elapsed_ns":`...)
+	buf = strconv.AppendInt(buf, env.ElapsedNS, 10)
+	buf = append(buf, `,"result":`...)
+	prefix := len(buf)
+	if env.Node != "" {
+		buf = append(buf, `,"node":`...)
+		buf = appendJSONString(buf, env.Node)
+	}
+	if env.Via != "" {
+		buf = append(buf, `,"via":`...)
+		buf = appendJSONString(buf, env.Via)
+	}
+	buf = append(buf, "}\n"...)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(buf)+len(env.Result)))
+	w.Write(buf[:prefix])
+	w.Write(env.Result)
+	w.Write(buf[prefix:])
+}
+
+// appendJSONString appends s encoded as encoding/json encodes a string,
+// HTML escaping included. Kinds, digests and plain node IDs are printable
+// ASCII that needs no escape and are copied between quotes; anything else
+// is left to encoding/json.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s)
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// storedResult turns executor output or a peer's result into the form the
+// cache, flights and writeEnvelope hold: json.Marshal(json.RawMessage(b))
+// validates b and compacts it with the encoder's HTML escaping, which is
+// exactly what the encoder emits for a RawMessage field. Bytes that came
+// from json.Marshal come back unchanged. It runs once, when a result enters
+// the cache or a flight, never per response.
+func storedResult(b []byte) ([]byte, error) {
+	return json.Marshal(json.RawMessage(b))
+}
+
 // errorBody is the JSON body of every non-2xx response.
 type errorBody struct {
 	Error string `json:"error"`
 }
 
-// handleJob is the shared endpoint implementation: decode → normalize →
-// digest → admit/coalesce/cache → envelope.
+// specMemo maps the bytes of a request (memoKey) to the normalized spec
+// they decode to and its digest. It is bounded like the result cache, by
+// Config.CacheEntries, and disabled with it.
+type specMemo = lru[[sha256.Size]byte, memoEntry]
+
+// memoEntry is one memoized request: its normalized spec, shared read-only
+// by every request with the same bytes, and the spec's digest.
+type memoEntry struct {
+	spec   Spec
+	digest string
+}
+
+// memoKey is the spec memo's key for a request: SHA-256 over kind ⊕ 0 ⊕ the
+// body bytes, so the same bytes posted to another kind's endpoint are
+// another entry.
+func memoKey(kind Kind, body []byte) (key [sha256.Size]byte) {
+	h := sha256.New()
+	h.Write([]byte(kind))
+	h.Write([]byte{0})
+	h.Write(body)
+	h.Sum(key[:0])
+	return key
+}
+
+// handleJob is the shared endpoint implementation: read → spec memo (or
+// decode → normalize → digest) → route → admit/coalesce/cache → envelope.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, kind Kind) {
 	start := time.Now()
-	spec, err := decodeSpec(kind)
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+	m, ok := s.resolveSpec(w, r, kind)
+	if !ok {
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad %s spec: %w", kind, err))
-		return
-	}
-	if err := spec.Normalize(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	digest := Digest(spec)
 
 	// Fleet mode: route by digest — forward to the owner, shed on the
 	// fleet bound, or fall through to local serving (we own it, it arrived
 	// forwarded, or the fleet is unreachable). See cluster.go.
-	if s.cluster != nil && s.clusterServe(w, r, kind, start, digest, spec) {
+	if s.cluster != nil && s.clusterServe(w, r, kind, start, m.digest, m.spec) {
 		return
 	}
 
-	body, cached, err := s.do(r.Context(), digest, spec)
+	body, cached, err := s.do(r.Context(), m.digest, m.spec)
 	if err != nil {
 		s.writeJobError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(envelope{
+	writeEnvelope(w, &envelope{
 		Kind:      kind,
-		Digest:    digest,
+		Digest:    m.digest,
 		Cached:    cached,
 		ElapsedNS: time.Since(start).Nanoseconds(),
 		Result:    body,
 		Node:      s.nodeID(),
 	})
+}
+
+// resolveSpec reads the request body under the maxBodyBytes cap and
+// resolves it to its normalized spec and digest. Bytes already seen under
+// kind are a memo hit and are not decoded again. Otherwise the body is
+// decoded (unknown fields rejected, trailing data ignored), normalized and
+// digested, and only a spec that normalized is memoized, so a bad body
+// earns its 400 afresh every time. On failure the error response is
+// written and ok is false.
+func (s *Server) resolveSpec(w http.ResponseWriter, r *http.Request, kind Kind) (m memoEntry, ok bool) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom then never regrows
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad %s spec: %w", kind, err))
+		return m, false
+	}
+	key := memoKey(kind, buf.Bytes())
+	if m, ok = s.memo.Get(key); ok {
+		s.rec.Count("serve.memo.hit", 1)
+		return m, true
+	}
+	spec, err := decodeSpec(kind)
+	if err != nil {
+		writeError(w, http.StatusNotFound, err)
+		return m, false
+	}
+	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(spec); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad %s spec: %w", kind, err))
+		return m, false
+	}
+	if err := spec.Normalize(); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return m, false
+	}
+	m = memoEntry{spec: spec, digest: Digest(spec)}
+	s.memo.Put(key, m)
+	return m, true
 }
 
 // do resolves one digest to its result bytes: result cache, then the
@@ -272,17 +397,23 @@ func (s *Server) admit(digest string, spec Spec) (*flight, bool) {
 	return f, true
 }
 
+// errJobPanic marks the error of a job whose executor panicked; the HTTP
+// layer answers it with 500.
+var errJobPanic = errors.New("serve: job panicked")
+
 // runJob executes one admitted flight on a pool worker and publishes the
 // outcome to cache, waiters, and telemetry.
 func (s *Server) runJob(ctx context.Context, f *flight, spec Spec) {
 	start := time.Now()
-	body, err := s.exec.Execute(ctx, spec)
+	body, err := s.execute(ctx, f.digest, spec)
 	elapsed := time.Since(start)
 
 	outcome := "ok"
 	switch {
 	case err == nil:
 		s.cache.Put(f.digest, body)
+	case errors.Is(err, errJobPanic):
+		outcome = "panic"
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		outcome = "canceled"
 	default:
@@ -295,12 +426,34 @@ func (s *Server) runJob(ctx context.Context, f *flight, spec Spec) {
 	s.group.finish(f, body, err)
 }
 
+// execute runs one job and returns its result in stored form. A panic in
+// the executor stops here: it becomes an errJobPanic error naming the
+// digest, so the flight still finishes, every waiter gets a 500, nothing
+// is cached, and the pool worker (and with it the daemon) lives on.
+func (s *Server) execute(ctx context.Context, digest string, spec Spec) (body []byte, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			body, err = nil, fmt.Errorf("%w: digest %s: %v", errJobPanic, digest, v)
+		}
+	}()
+	out, err := s.exec.Execute(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	if body, err = storedResult(out); err != nil {
+		return nil, fmt.Errorf("serve: job %s result is not JSON: %w", digest, err)
+	}
+	return body, nil
+}
+
 // writeJobError maps a do() error onto the HTTP status vocabulary:
 // backpressure 429 (+ Retry-After), draining 503, job deadline 504, caller
-// gone 408 (best effort — the client usually never reads it), engine
-// rejection 422.
+// gone 408 (best effort — the client usually never reads it), executor
+// panic 500, engine rejection 422.
 func (s *Server) writeJobError(w http.ResponseWriter, err error) {
 	switch {
+	case errors.Is(err, errJobPanic):
+		writeError(w, http.StatusInternalServerError, err)
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, err)

@@ -194,6 +194,68 @@ func TestExecutionError(t *testing.T) {
 	}
 }
 
+// TestJobPanicContained injects an executor panic on one digest under
+// concurrent identical requests: the panic stops at the job, every
+// coalesced waiter gets a 500 naming the digest, the panic is counted once
+// and never cached (a repeat executes again), and the server keeps serving
+// other jobs.
+func TestJobPanicContained(t *testing.T) {
+	t.Parallel()
+	spec := RunSpec{Workload: "VP", Scale: 64, Seed: 13}
+	norm := spec
+	if err := norm.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	digest := Digest(&norm)
+	stub := newStubExecutor()
+	stub.gate = make(chan struct{})
+	stub.panicOn = digest
+	s, ts := newTestServer(t, Config{Workers: 2, Queue: 32, Executor: stub})
+
+	const n = 8
+	statuses := make([]int, n)
+	bodies := make([][]byte, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for k := 0; k < n; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			statuses[k], bodies[k], errs[k] = postJobE(ts.URL, KindRun, spec)
+		}(k)
+	}
+	waitFor(t, "all requests to coalesce", func() bool { return s.group.Coalesced() >= n-1 })
+	close(stub.gate)
+	wg.Wait()
+	for k := 0; k < n; k++ {
+		if errs[k] != nil {
+			t.Fatalf("request %d: %v", k, errs[k])
+		}
+		if statuses[k] != http.StatusInternalServerError || !strings.Contains(string(bodies[k]), digest) {
+			t.Errorf("request %d: status %d: %s, want 500 naming digest %s", k, statuses[k], bodies[k], digest)
+		}
+	}
+	if got := s.mem.Counter("serve.jobs.run.panic"); got != 1 {
+		t.Errorf("serve.jobs.run.panic = %d, want 1", got)
+	}
+	if got := stub.count(digest); got != 1 {
+		t.Errorf("executed %d times, want 1", got)
+	}
+	if s.cache.Len() != 0 || s.group.InFlight() != 0 {
+		t.Errorf("after the panic: %d cached, %d in flight, want 0 and 0", s.cache.Len(), s.group.InFlight())
+	}
+
+	if status, body := postJob(t, ts.URL, KindRun, spec); status != http.StatusInternalServerError {
+		t.Errorf("repeat: status %d: %s, want 500", status, body)
+	}
+	if got := stub.count(digest); got != 2 {
+		t.Errorf("repeat: executed %d times, want 2 (a panic is never cached)", got)
+	}
+	if status, body := postJob(t, ts.URL, KindRun, RunSpec{Workload: "VP", Scale: 64, Seed: 14}); status != http.StatusOK {
+		t.Errorf("other job after the panic: status %d: %s", status, body)
+	}
+}
+
 // TestValidation exercises the 400 surface: malformed JSON, unknown fields,
 // unknown workloads, out-of-range parameters, bad variants.
 func TestValidation(t *testing.T) {
