@@ -79,7 +79,7 @@ func BenchmarkFig8b(b *testing.B) {
 // size, speedup + miss rates).
 func BenchmarkFig9(b *testing.B) {
 	for k := 0; k < b.N; k++ {
-		if _, err := experiments.Fig9([]int{2048}, 0.4, 42, 1, 0, 1); err != nil {
+		if _, err := experiments.Fig9([]int{2048}, 0.4, 42, 1, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -58,17 +58,16 @@ import (
 
 // opts carries every flag value an experiment might honor.
 type opts struct {
-	scale      int
-	scaleSet   bool // -scale given explicitly (oracle shrinks its default)
-	n          int
-	pcN        int
-	radius     float64
-	seed       int64
-	repeats    int
-	workers    int
-	simWorkers int
-	variant    nest.Variant // -schedule, lowered onto the engine
-	layout     layout.Kind
+	scale    int
+	scaleSet bool // -scale given explicitly (oracle shrinks its default)
+	n        int
+	pcN      int
+	radius   float64
+	seed     int64
+	repeats  int
+	workers  int
+	variant  nest.Variant // -schedule, lowered onto the engine
+	layout   layout.Kind
 }
 
 // experiment is one registered harness. run prints the human-readable table
@@ -86,14 +85,14 @@ type experiment struct {
 var registry = []experiment{
 	{"inventory", "inventory (§6.1 benchmarks)", "-scale -seed", true, inventory},
 	{"fig5", "fig5: reuse-distance CDF, tree join", "-n -seed", true, fig5},
-	{"fig7", "fig7: speedup of recursion twisting", "-scale -seed -repeats -workers -simworkers -geometry", true, fig7},
+	{"fig7", "fig7: speedup of recursion twisting", "-scale -seed -repeats -workers -geometry", true, fig7},
 	{"fig8a", "fig8a: instruction overhead (op model)", "-scale -seed", true, fig8a},
-	{"fig8b", "fig8b: simulated L2/L3 miss rates", "-scale -seed -workers -simworkers -geometry", true, fig8b},
-	{"fig9", "fig9: PC across input sizes", "-radius -seed -repeats -workers -simworkers -geometry", true, fig9},
+	{"fig8b", "fig8b: simulated L2/L3 miss rates", "-scale -seed -workers -geometry", true, fig8b},
+	{"fig9", "fig9: PC across input sizes", "-radius -seed -repeats -workers -geometry", true, fig9},
 	{"fig10", "fig10: PC cutoff study (§7.1)", "-pcn -radius -seed -repeats -workers", true, fig10},
 	{"ablation", "ablation: flag modes / subtree truncation / node stride (DESIGN.md §4.5)", "-pcn -radius -seed -repeats -geometry", true, ablation},
 	{"kary", "kary: octree (8-ary) point correlation extension (§2.1 generality)", "-pcn -seed -geometry", true, kary},
-	{"layout", "layout: arena layout × schedule miss rates (DESIGN.md §4.12)", "-scale -seed -simworkers -geometry", true, layoutExp},
+	{"layout", "layout: arena layout × schedule miss rates (DESIGN.md §4.12)", "-scale -seed -geometry", true, layoutExp},
 	{"iters", "iters: §4.2 iteration counts, PC", "-pcn -radius -seed", true, iters},
 	{"bench", "bench: suite under one schedule", "-scale -seed -repeats -workers -schedule -layout", false, bench},
 	{"oracle", "oracle: semantic-equivalence smoke (DESIGN.md §4.9)", "-scale -seed -workers", false, oracleSmoke},
@@ -112,7 +111,7 @@ func usage(fs *flag.FlagSet, w io.Writer) {
 		case "fig8b", "fig9":
 			note = "-workers > 1 = merge-mode simulation (nondeterministic; report rates become noisy)"
 		case "fig7":
-			note = "-workers >= 1 adds the §7.3 parallel columns; -simworkers >= 1 adds the sim-engine columns"
+			note = "-workers >= 1 adds the §7.3 parallel columns"
 		case "fig10":
 			note = "-workers >= 1 times all schedules under the work-stealing executor"
 		case "layout":
@@ -151,7 +150,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Int64("seed", 42, "workload seed")
 		repeats    = fs.Int("repeats", 3, "wall-clock repetitions (best is kept)")
 		workers    = fs.Int("workers", 0, "parallel dimension (see -h flag matrix): 0 = off")
-		simWorkers = fs.Int("simworkers", 1, "cache-simulation shard workers: <= 1 sequential, > 1 set-partitioned parallel engine (stats bit-identical either way)")
 		geometry   = fs.String("geometry", "", "simulated cache hierarchy, e.g. \"32K/64:8,256K/64:8,20M/64:20\" (empty = scaled default)")
 		schedule   = fs.String("schedule", "twisted", "schedule for -exp bench as an algebra expression, e.g. \"twisted-cutoff:64\" or \"stripmine(64)\u2218twist(flagged)\"")
 		layoutF    = fs.String("layout", "", "arena layout for -exp bench: buildorder, hotcold, preorder, schedule, veb (empty = legacy build-order)")
@@ -218,7 +216,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	o := opts{
 		scale: *scale, scaleSet: scaleSet, n: *n, pcN: *pcN, radius: *radius,
-		seed: *seed, repeats: *repeats, workers: *workers, simWorkers: *simWorkers,
+		seed: *seed, repeats: *repeats, workers: *workers,
 		variant: v, layout: lk,
 	}
 
@@ -365,8 +363,6 @@ func params(o opts, keys ...string) map[string]string {
 			out[k] = strconv.Itoa(o.repeats)
 		case "workers":
 			out[k] = strconv.Itoa(o.workers)
-		case "simworkers":
-			out[k] = strconv.Itoa(o.simWorkers)
 		case "geometry":
 			// The resolved geometry, not the raw flag: a baseline pins the
 			// hierarchy it was measured on even when the flag was defaulted.
@@ -406,19 +402,17 @@ func fig5(o opts) (*obs.Report, error) {
 }
 
 func fig7(o opts) (*obs.Report, error) {
-	rows, err := experiments.Fig7(o.scale, o.seed, o.repeats, o.workers, o.simWorkers)
+	rows, err := experiments.Fig7(o.scale, o.seed, o.repeats, o.workers)
 	if err != nil {
 		return nil, err
 	}
-	rep := obs.NewReport("fig7", params(o, "scale", "seed", "repeats", "workers", "simworkers", "geometry"))
+	rep := obs.NewReport("fig7", params(o, "scale", "seed", "repeats", "workers", "geometry"))
 	w := table()
 	hdr := "bench\tbaseline\ttwisted\tspeedup"
 	if o.workers >= 1 {
 		hdr += fmt.Sprintf("\tpar w=1\tpar w=%d\tpar speedup", o.workers)
 	}
-	if o.simWorkers >= 1 {
-		hdr += fmt.Sprintf("\tsim seq\tsim w=%d\tsim speedup\tsim L2\tsim L3", o.simWorkers)
-	}
+	hdr += "\tsim\tsim L2\tsim L3"
 	fmt.Fprintln(w, hdr)
 	for _, r := range rows {
 		row := rep.AddRow(r.Bench).
@@ -433,18 +427,10 @@ func fig7(o opts) (*obs.Report, error) {
 				NoisySeconds("parN", r.ParN).
 				NoisyVal("par_speedup", r.ParSpeedup)
 		}
-		if o.simWorkers >= 1 {
-			line += fmt.Sprintf("\t%v\t%v\t%.2fx\t%.1f%%\t%.1f%%",
-				r.SimSeq, r.SimPar, r.SimSpeedup, 100*r.SimL2, 100*r.SimL3)
-			// The sim miss rates are deterministic — both engines produced
-			// them bit-identically or Fig7 would have errored, which is the
-			// parallel-vs-sequential gate the CI baseline check leans on.
-			row.NoisySeconds("sim_seq", r.SimSeq).
-				NoisySeconds("sim_par", r.SimPar).
-				NoisyVal("sim_speedup", r.SimSpeedup).
-				DetFloat("sim_l2", r.SimL2).
-				DetFloat("sim_l3", r.SimL3)
-		}
+		line += fmt.Sprintf("\t%v\t%.1f%%\t%.1f%%", r.SimSeq, 100*r.SimL2, 100*r.SimL3)
+		row.NoisySeconds("sim_seq", r.SimSeq).
+			DetFloat("sim_l2", r.SimL2).
+			DetFloat("sim_l3", r.SimL3)
 		fmt.Fprintln(w, line)
 	}
 	geo := experiments.GeoMean(rows)
@@ -529,11 +515,11 @@ func fig8a(o opts) (*obs.Report, error) {
 }
 
 func fig8b(o opts) (*obs.Report, error) {
-	rows, err := experiments.Fig8b(o.scale, o.seed, o.workers, o.simWorkers)
+	rows, err := experiments.Fig8b(o.scale, o.seed, o.workers)
 	if err != nil {
 		return nil, err
 	}
-	rep := obs.NewReport("fig8b", params(o, "scale", "seed", "workers", "simworkers", "geometry"))
+	rep := obs.NewReport("fig8b", params(o, "scale", "seed", "workers", "geometry"))
 	det := o.workers <= 1 // merge-mode interleaving is nondeterministic
 	w := table()
 	fmt.Fprintln(w, "bench\tL2 base\tL2 twisted\tL3 base\tL3 twisted")
@@ -551,11 +537,11 @@ func fig8b(o opts) (*obs.Report, error) {
 
 func fig9(o opts) (*obs.Report, error) {
 	sizes := []int{512, 1024, 2048, 4096, 8192, 16384, 32768}
-	rows, err := experiments.Fig9(sizes, o.radius, o.seed, o.repeats, o.workers, o.simWorkers)
+	rows, err := experiments.Fig9(sizes, o.radius, o.seed, o.repeats, o.workers)
 	if err != nil {
 		return nil, err
 	}
-	rep := obs.NewReport("fig9", params(o, "radius", "seed", "repeats", "workers", "simworkers", "geometry"))
+	rep := obs.NewReport("fig9", params(o, "radius", "seed", "repeats", "workers", "geometry"))
 	det := o.workers <= 1
 	w := table()
 	fmt.Fprintln(w, "n\tspeedup\tL2 base\tL2 twisted\tL3 base\tL3 twisted")
@@ -754,11 +740,11 @@ func boolInt(b bool) int64 {
 // beats build-order on miss counts — the committed BENCH_layout.json pins
 // it and CI asserts it stays >= 2.
 func layoutExp(o opts) (*obs.Report, error) {
-	rows, err := experiments.LayoutSweep(o.scale, o.seed, o.simWorkers)
+	rows, err := experiments.LayoutSweep(o.scale, o.seed)
 	if err != nil {
 		return nil, err
 	}
-	rep := obs.NewReport("layout", params(o, "scale", "seed", "simworkers", "geometry"))
+	rep := obs.NewReport("layout", params(o, "scale", "seed", "geometry"))
 	w := table()
 	fmt.Fprintln(w, "bench\tschedule\tlayout\tL2\tL3\tL2 misses\tL3 misses")
 	for _, r := range rows {

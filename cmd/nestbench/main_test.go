@@ -51,6 +51,14 @@ func TestExitCodes(t *testing.T) {
 			wantUsage: true,
 		},
 		{
+			// One cache simulator: the flag that chose the sharded one is gone.
+			name:      "simworkers flag removed",
+			args:      []string{"-exp", "fig8b", "-simworkers", "2"},
+			code:      2,
+			wantErr:   "flag provided but not defined: -simworkers",
+			wantUsage: true,
+		},
+		{
 			name:      "bad geometry",
 			args:      []string{"-exp", "fig8b", "-geometry", "not-a-hierarchy"},
 			code:      2,

@@ -76,18 +76,10 @@ func Geometry() []memsim.CacheConfig {
 // pins the simulated hierarchy it was measured on.
 func GeometryString() string { return memsim.FormatGeometry(simLevels) }
 
-// SimHierarchy returns a fresh sequential simulator over the current
-// geometry (see SetGeometry). Harness code that wants the parallel engine
-// goes through memsim.New with Config.SimWorkers instead, as newSim does.
+// SimHierarchy returns a fresh simulator over the current geometry (see
+// SetGeometry).
 func SimHierarchy() memsim.Simulator {
-	return newSim(1)
-}
-
-// newSim builds a simulator over the current geometry: sequential for
-// simWorkers <= 1, set-partitioned parallel otherwise (bit-identical stats
-// either way; DESIGN.md §4.8). Callers own the Close.
-func newSim(simWorkers int) memsim.Simulator {
-	return memsim.MustNew(memsim.Config{Levels: simLevels, SimWorkers: simWorkers})
+	return memsim.MustNew(memsim.Config{Levels: simLevels})
 }
 
 // levelRate returns the miss rate of level li, or 0 when the configured
@@ -137,14 +129,14 @@ func runWall(in *workloads.Instance, v nest.Variant, repeats int) (time.Duration
 // observe on multi-hour runs (note Fig 9's remark that compulsory misses are
 // only noticeable at the very smallest inputs).
 func missRates(in *workloads.Instance, v nest.Variant) []memsim.LevelStats {
-	st, err := missRatesWith(in, v, 1, 1)
+	st, err := missRatesWith(in, v, 1)
 	if err != nil {
 		panic(err) // unreachable: the sequential path cannot fail
 	}
 	return st
 }
 
-// missRatesWith is missRates with two worker dimensions, built on the memsim
+// missRatesWith is missRates with a worker dimension, built on the memsim
 // streaming pipeline — the simulation holds O(cache geometry + workers·batch)
 // memory regardless of trace length, instead of materializing the trace.
 //
@@ -156,20 +148,14 @@ func missRates(in *workloads.Instance, v nest.Variant) []memsim.LevelStats {
 // interleaving — like real shared-cache timing — is not deterministic, but
 // every access is simulated exactly once).
 //
-// simWorkers drives the simulator consuming the trace: <= 1 sequential,
-// > 1 the set-partitioned parallel engine — stats are bit-identical either
-// way for the same delivered trace (DESIGN.md §4.8), so the dimension buys
-// simulation throughput without perturbing any deterministic signal.
-//
 // With workers <= 1 the warm-up/measure protocol is workloads'
 // Instance.RunSteady, the one serve's run jobs use: its measured pass
 // replays the warm-up pass. The merge mode runs the parallel traced
 // execution twice, each time into a fresh Stream (a Stream is single-shot:
 // Close flushes and seals it) over the one persistent simulator, with
 // ResetStats between the two runs.
-func missRatesWith(in *workloads.Instance, v nest.Variant, workers, simWorkers int) ([]memsim.LevelStats, error) {
-	sim := newSim(simWorkers)
-	defer sim.Close()
+func missRatesWith(in *workloads.Instance, v nest.Variant, workers int) ([]memsim.LevelStats, error) {
+	sim := SimHierarchy()
 	var last *memsim.Stream
 	run := func() error { // one merge-mode pass
 		st := memsim.NewStream(sim, 0)
@@ -182,11 +168,10 @@ func missRatesWith(in *workloads.Instance, v nest.Variant, workers, simWorkers i
 		trace := in.Trace
 		e := nest.MustNew(in.Spec)
 		_, err := e.RunWith(nest.RunConfig{
-			Variant:    v,
-			Workers:    workers,
-			SimWorkers: simWorkers,
-			Recorder:   rec,
-			ForTask:    in.ForTask,
+			Variant:  v,
+			Workers:  workers,
+			Recorder: rec,
+			ForTask:  in.ForTask,
 			WrapWork: func(w int, work func(o, i tree.NodeID)) func(o, i tree.NodeID) {
 				sk := sinks[w]
 				var buf []memsim.Addr // this task's own: Trace is shared by every worker
@@ -266,17 +251,12 @@ type Fig7Row struct {
 	ParN       time.Duration
 	ParSpeedup float64
 
-	// SimSeq/SimPar time the trace-driven cache simulation of the twisted
-	// schedule on the sequential engine and on the set-partitioned parallel
-	// engine with the requested shard-worker count (zero when the sim phase
-	// is off); SimSpeedup is SimSeq/SimPar. Wall clocks, hence noisy.
-	SimSeq     time.Duration
-	SimPar     time.Duration
-	SimSpeedup float64
+	// SimSeq times the trace-driven cache simulation of the twisted
+	// schedule, trace generation included. A wall clock, hence noisy.
+	SimSeq time.Duration
 
 	// SimL2/SimL3 are the twisted schedule's simulated L2/L3 miss rates from
-	// the same phase — deterministic, and verified bit-identical between the
-	// two engines before the row is returned.
+	// the same pass — deterministic.
 	SimL2, SimL3 float64
 
 	// Checksum is the benchmark result checksum, identical across every
@@ -290,13 +270,10 @@ type Fig7Row struct {
 // workers >= 1 it additionally runs the twisted schedule under the
 // work-stealing executor at 1 and at workers workers, verifies every run's
 // checksum against the baseline, and verifies the two parallel runs' merged
-// Stats are identical — the determinism contract of the executor. With
-// simWorkers >= 1 it also runs the twisted trace through the sequential and
-// the set-partitioned parallel cache simulator, verifies their stats are
-// bit-identical (the §4.8 determinism contract — a mismatch is an error,
-// which is what the CI gate leans on), and reports both sim wall clocks plus
-// the L2/L3 miss rates.
-func Fig7(scale int, seed int64, repeats, workers, simWorkers int) ([]Fig7Row, error) {
+// Stats are identical — the determinism contract of the executor. Every row
+// also runs the twisted trace through the cache simulator and reports its
+// wall clock plus the L2/L3 miss rates.
+func Fig7(scale int, seed int64, repeats, workers int) ([]Fig7Row, error) {
 	defer obs.Span(rec, "experiments.fig7")()
 	var rows []Fig7Row
 	for _, in := range workloads.Suite(scale, seed) {
@@ -332,53 +309,28 @@ func Fig7(scale int, seed int64, repeats, workers, simWorkers int) ([]Fig7Row, e
 			row.Par1, row.ParN = d1, dn
 			row.ParSpeedup = float64(d1) / float64(dn)
 		}
-		if simWorkers >= 1 {
-			if err := simPhase(in, simWorkers, &row); err != nil {
-				return nil, err
-			}
-		}
+		simPhase(in, &row)
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// simPhase runs the twisted trace of in through the sequential simulator and
-// through the parallel simulator with simWorkers shard workers, times both
-// (the clock covers trace generation plus simulation, stopping only after
-// Stats() has drained every in-flight batch), errors unless the two engines'
-// per-level stats are bit-identical, and fills the row's Sim* columns.
-func simPhase(in *workloads.Instance, simWorkers int, row *Fig7Row) error {
-	runSim := func(sim memsim.Simulator) (time.Duration, []memsim.LevelStats) {
-		st := memsim.NewStream(sim, 0)
-		sk := st.Sink()
-		t0 := time.Now()
-		if _, _, err := in.RunSink(nil, nest.Twisted(), sk, nil); err != nil {
-			panic(err) // unreachable: a nil ctx never cancels
-		}
-		st.Close()
-		stats := sim.Stats()
-		return time.Since(t0), stats
+// simPhase runs the twisted trace of in through a fresh simulator, times it
+// (trace generation plus simulation) and fills the row's Sim* columns.
+func simPhase(in *workloads.Instance, row *Fig7Row) {
+	sim := SimHierarchy()
+	st := memsim.NewStream(sim, 0)
+	t0 := time.Now()
+	if _, _, err := in.RunSink(nil, nest.Twisted(), st.Sink(), nil); err != nil {
+		panic(err) // unreachable: a nil ctx never cancels
 	}
-	seq := newSim(1)
-	dSeq, stSeq := runSim(seq)
-	seq.Close()
-	par := newSim(simWorkers)
-	dPar, stPar := runSim(par)
-	par.Publish(rec, "fig7."+in.Name+".sim")
-	par.Close()
-	for k := range stSeq {
-		if stSeq[k] != stPar[k] {
-			return fmt.Errorf("fig7: %s simulated stats diverge between engines at %s:\n  seq: %+v\n  par: %+v",
-				in.Name, stSeq[k].Name, stSeq[k], stPar[k])
-		}
-	}
-	rec.Time("fig7."+in.Name+".simseq", dSeq)
-	rec.Time("fig7."+in.Name+".simpar", dPar)
-	row.SimSeq, row.SimPar = dSeq, dPar
-	row.SimSpeedup = float64(dSeq) / float64(dPar)
-	row.SimL2 = levelRate(stSeq, 1)
-	row.SimL3 = levelRate(stSeq, 2)
-	return nil
+	st.Close()
+	stats := sim.Stats()
+	row.SimSeq = time.Since(t0)
+	sim.Publish(rec, "fig7."+in.Name+".sim")
+	rec.Time("fig7."+in.Name+".simseq", row.SimSeq)
+	row.SimL2 = levelRate(stats, 1)
+	row.SimL3 = levelRate(stats, 2)
 }
 
 // parWall times the work-stealing twisted run of in at the given worker
@@ -451,18 +403,16 @@ type Fig8bRow struct {
 // Fig8b measures simulated miss rates for the six benchmarks. workers <= 1
 // reproduces the paper's sequential figure through the streaming pipeline;
 // workers > 1 simulates the parallel twisted execution in merge mode, with
-// all workers' interleaved accesses sharing the one hierarchy. simWorkers
-// sizes the simulator itself (sequential vs set-partitioned parallel; the
-// rates are bit-identical either way).
-func Fig8b(scale int, seed int64, workers, simWorkers int) ([]Fig8bRow, error) {
+// all workers' interleaved accesses sharing the one hierarchy.
+func Fig8b(scale int, seed int64, workers int) ([]Fig8bRow, error) {
 	defer obs.Span(rec, "experiments.fig8b")()
 	var rows []Fig8bRow
 	for _, in := range workloads.Suite(scale, seed) {
-		base, err := missRatesWith(in, nest.Original(), workers, simWorkers)
+		base, err := missRatesWith(in, nest.Original(), workers)
 		if err != nil {
 			return nil, err
 		}
-		tw, err := missRatesWith(in, nest.Twisted(), workers, simWorkers)
+		tw, err := missRatesWith(in, nest.Twisted(), workers)
 		if err != nil {
 			return nil, err
 		}
@@ -488,11 +438,11 @@ type Fig9Row struct {
 
 // Fig9 sweeps point-correlation input sizes (log-spaced, as in the paper's
 // log-scale x axis) and reports wall-clock speedup plus simulated miss
-// rates. workers and simWorkers have the same meaning as in Fig8b — the
-// miss-rate columns come from the streaming simulation, sequential
-// single-sink for workers <= 1 (deterministic), merge mode otherwise; the
-// wall-clock speedup column is always the sequential paper comparison.
-func Fig9(sizes []int, radius float64, seed int64, repeats, workers, simWorkers int) ([]Fig9Row, error) {
+// rates. workers has the same meaning as in Fig8b — the miss-rate columns
+// come from the streaming simulation, sequential single-sink for
+// workers <= 1 (deterministic), merge mode otherwise; the wall-clock
+// speedup column is always the sequential paper comparison.
+func Fig9(sizes []int, radius float64, seed int64, repeats, workers int) ([]Fig9Row, error) {
 	defer obs.Span(rec, "experiments.fig9")()
 	var rows []Fig9Row
 	for _, n := range sizes {
@@ -502,11 +452,11 @@ func Fig9(sizes []int, radius float64, seed int64, repeats, workers, simWorkers 
 		if cb != ct {
 			return nil, fmt.Errorf("fig9: n=%d checksum mismatch", n)
 		}
-		base, err := missRatesWith(in, nest.Original(), workers, simWorkers)
+		base, err := missRatesWith(in, nest.Original(), workers)
 		if err != nil {
 			return nil, err
 		}
-		tw, err := missRatesWith(in, nest.Twisted(), workers, simWorkers)
+		tw, err := missRatesWith(in, nest.Twisted(), workers)
 		if err != nil {
 			return nil, err
 		}

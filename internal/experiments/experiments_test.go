@@ -48,7 +48,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig7RunsAndVerifies(t *testing.T) {
-	rows, err := Fig7(256, 3, 1, 2, 2)
+	rows, err := Fig7(256, 3, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +59,8 @@ func TestFig7RunsAndVerifies(t *testing.T) {
 		if r.Baseline <= 0 || r.Twisted <= 0 || r.Speedup <= 0 {
 			t.Fatalf("degenerate row %+v", r)
 		}
-		// simWorkers=2 turns the sim phase on: both engines ran, agreed
-		// bit-identically (or Fig7 would have errored), and timed.
-		if r.SimSeq <= 0 || r.SimPar <= 0 {
+		// Every row runs the sim phase: timed, with simulated rates.
+		if r.SimSeq <= 0 || r.SimL2 <= 0 {
 			t.Fatalf("sim phase skipped in %+v", r)
 		}
 	}
@@ -120,7 +119,7 @@ func TestFig8bNNRegime(t *testing.T) {
 }
 
 func TestFig9ShapeAcrossSizes(t *testing.T) {
-	rows, err := Fig9([]int{256, 8192}, 0.4, 9, 1, 0, 1)
+	rows, err := Fig9([]int{256, 8192}, 0.4, 9, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

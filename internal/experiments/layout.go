@@ -43,9 +43,8 @@ func layoutSchedules() []nest.Variant {
 // warmup/measure protocol of missRates. The schedule-order layout is
 // realized per schedule: its first-touch recording run uses the same
 // variant the cell measures, which is what makes the layout
-// "schedule-aware". simWorkers sizes the simulator engine only (stats are
-// bit-identical either way; DESIGN.md §4.8).
-func LayoutSweep(scale int, seed int64, simWorkers int) ([]LayoutRow, error) {
+// "schedule-aware".
+func LayoutSweep(scale int, seed int64) ([]LayoutRow, error) {
 	defer obs.Span(rec, "experiments.layout")()
 	var rows []LayoutRow
 	for _, in := range workloads.Suite(scale, seed) {
@@ -55,7 +54,7 @@ func LayoutSweep(scale int, seed int64, simWorkers int) ([]LayoutRow, error) {
 				if err != nil {
 					return nil, fmt.Errorf("layout: %s/%v/%v: %w", in.Name, v, kind, err)
 				}
-				st, err := missRatesWith(lin, v, 1, simWorkers)
+				st, err := missRatesWith(lin, v, 1)
 				if err != nil {
 					return nil, fmt.Errorf("layout: %s/%v/%v: %w", in.Name, v, kind, err)
 				}

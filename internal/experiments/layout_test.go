@@ -14,7 +14,7 @@ import (
 // least two benchmarks won by a reordering layout.
 func TestLayoutSweepShape(t *testing.T) {
 	const scale, seed = 512, 1
-	rows, err := LayoutSweep(scale, seed, 1)
+	rows, err := LayoutSweep(scale, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

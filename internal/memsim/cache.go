@@ -117,24 +117,35 @@ type Hierarchy struct {
 }
 
 // newHierarchy builds a hierarchy from the given level configs, ordered from
-// closest (L1) to farthest (LLC): the sequential engine behind New, and the
-// per-shard engine behind NewSharded.
+// closest (L1) to farthest (LLC): the simulator behind New.
 func newHierarchy(cfgs ...CacheConfig) (*Hierarchy, error) {
-	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("memsim: hierarchy needs at least one level")
+	if err := validateLevels(cfgs); err != nil {
+		return nil, err
 	}
 	h := &Hierarchy{}
-	line := cfgs[0].LineBytes
 	for _, c := range cfgs {
-		if err := c.validate(); err != nil {
-			return nil, err
-		}
-		if c.LineBytes != line {
-			return nil, fmt.Errorf("memsim: mixed line sizes %d and %d", line, c.LineBytes)
-		}
 		h.levels = append(h.levels, newLevel(c))
 	}
 	return h, nil
+}
+
+// validateLevels checks cfgs as a hierarchy — at least one level, each a
+// valid power-of-two geometry, one line size throughout — without
+// allocating any level's tag array.
+func validateLevels(cfgs []CacheConfig) error {
+	if len(cfgs) == 0 {
+		return fmt.Errorf("memsim: hierarchy needs at least one level")
+	}
+	line := cfgs[0].LineBytes
+	for _, c := range cfgs {
+		if err := c.validate(); err != nil {
+			return err
+		}
+		if c.LineBytes != line {
+			return fmt.Errorf("memsim: mixed line sizes %d and %d", line, c.LineBytes)
+		}
+	}
+	return nil
 }
 
 // DefaultLevels returns the scaled three-level hierarchy used throughout the
@@ -206,13 +217,7 @@ func (h *Hierarchy) Publish(r obs.Recorder, prefix string) {
 	if r == nil {
 		return
 	}
-	publishLevels(r, prefix, h.Stats())
-}
-
-// publishLevels emits per-level stats under prefix.<level>.*: the shared
-// wire format of both simulator engines.
-func publishLevels(r obs.Recorder, prefix string, stats []LevelStats) {
-	for _, s := range stats {
+	for _, s := range h.Stats() {
 		p := prefix + "." + s.Name
 		r.Count(p+".accesses", s.Accesses)
 		r.Count(p+".hits", s.Accesses-s.Misses)
@@ -221,8 +226,8 @@ func publishLevels(r obs.Recorder, prefix string, stats []LevelStats) {
 	}
 }
 
-// Close implements Simulator; the sequential engine has no background
-// resources, so it is a no-op.
+// Close implements Simulator; the hierarchy holds no background resources,
+// so it is a no-op.
 func (h *Hierarchy) Close() {}
 
 // Mapper assigns addresses to arena tree nodes: node k of the tree lives at

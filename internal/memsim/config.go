@@ -9,36 +9,25 @@ import (
 )
 
 // The construction path: one config, one constructor, one Simulator
-// interface that both the sequential Hierarchy and the set-partitioned
-// ShardedHierarchy satisfy, so every consumer (experiments, workloads,
-// nestbench) is written against the interface and picks sequential or
-// parallel simulation with a single field.
+// interface, so every consumer (experiments, workloads, serve) is written
+// against the interface and tests can substitute a recording fake.
 
-// Config describes a simulator: the cache levels (closest first) and how to
-// run them.
+// Config describes a simulator: the cache levels, closest first.
 type Config struct {
 	// Levels are the cache levels, L1 first. Required.
 	Levels []CacheConfig
 
-	// SimWorkers selects the engine: <= 1 builds the sequential Hierarchy,
-	// > 1 builds a ShardedHierarchy with that many set-partitioned shard
-	// workers (clamped to the set count of the smallest level; see
-	// NewSharded). Both engines produce bit-identical Stats for the same
-	// trace (DESIGN.md §4.8).
+	// SimWorkers is ignored: New always builds the one sequential
+	// Hierarchy. It remains only as a label that perfbench sets
+	// (DESIGN.md §4.8).
 	SimWorkers int
-
-	// Batch is the shard dispatch granularity in addresses for the parallel
-	// engine; <= 0 means DefaultBatch. The sequential engine ignores it.
-	Batch int
 }
 
 // Simulator is the trace-driven cache simulation behind every miss-rate
 // figure: feed it line-aligned addresses, read per-level statistics.
-// Hierarchy implements it sequentially; ShardedHierarchy implements it with
-// set-partitioned parallel shards and bit-identical merged Stats. The
-// producer side (Access/AccessBatch and the inspection methods) must be
-// confined to one goroutine at a time — Stream serializes concurrent trace
-// producers on top of either engine.
+// Hierarchy is its one implementation. Access/AccessBatch and the
+// inspection methods must be confined to one goroutine at a time — Stream
+// serializes concurrent trace producers on top of it.
 type Simulator interface {
 	// Access simulates one load of the byte at a.
 	Access(a Addr)
@@ -52,20 +41,16 @@ type Simulator interface {
 	// ResetStats clears the counters but keeps cache contents (the
 	// warmup/measure protocol).
 	ResetStats()
-	// Publish emits the simulator's counters into r under prefix
-	// (per-level merged counts; the parallel engine adds per-shard views).
+	// Publish emits the simulator's per-level counters into r under
+	// prefix.
 	Publish(r obs.Recorder, prefix string)
-	// Close releases any background resources (shard workers). The
-	// sequential engine's Close is a no-op; Stats remain readable after.
+	// Close is a no-op kept for callers that release a simulator when
+	// done; Stats remain readable after it.
 	Close()
 }
 
-// New builds the simulator described by cfg: a *Hierarchy when
-// cfg.SimWorkers <= 1, a *ShardedHierarchy otherwise.
+// New builds the simulator described by cfg: a *Hierarchy over cfg.Levels.
 func New(cfg Config) (Simulator, error) {
-	if cfg.SimWorkers > 1 {
-		return NewSharded(cfg.Levels, cfg.SimWorkers, cfg.Batch)
-	}
 	return newHierarchy(cfg.Levels...)
 }
 
@@ -128,9 +113,9 @@ func ParseGeometry(s string) ([]CacheConfig, error) {
 			Ways:      w,
 		})
 	}
-	// Borrow the hierarchy constructor's validation so a parsed geometry is
-	// always buildable.
-	if _, err := newHierarchy(cfgs...); err != nil {
+	// The hierarchy constructor's own check, which allocates nothing, so a
+	// parsed geometry is always buildable whatever its size.
+	if err := validateLevels(cfgs); err != nil {
 		return nil, err
 	}
 	return cfgs, nil

@@ -2,39 +2,28 @@ package memsim
 
 import "testing"
 
+// TestNewSelectsEngine: New builds the one engine, the sequential
+// Hierarchy, for any level list it accepts, and rejects an empty one.
 func TestNewSelectsEngine(t *testing.T) {
-	for workers, want := range map[int]string{0: "*memsim.Hierarchy", 1: "*memsim.Hierarchy"} {
-		sim := MustNew(Config{Levels: DefaultLevels(), SimWorkers: workers})
-		if got := typeName(sim); got != want {
-			t.Fatalf("SimWorkers=%d built %s, want %s", workers, got, want)
+	for _, levels := range [][]CacheConfig{DefaultLevels(), DefaultLevels()[:1], threeLevels()} {
+		sim := MustNew(Config{Levels: levels})
+		if _, ok := sim.(*Hierarchy); !ok {
+			t.Fatalf("%s built %T, want *Hierarchy", FormatGeometry(levels), sim)
 		}
 		sim.Close()
-	}
-	sim := MustNew(Config{Levels: DefaultLevels(), SimWorkers: 4})
-	defer sim.Close()
-	sh, ok := sim.(*ShardedHierarchy)
-	if !ok {
-		t.Fatalf("SimWorkers=4 built %T, want *ShardedHierarchy", sim)
-	}
-	if sh.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", sh.Shards())
 	}
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
-	if _, err := New(Config{Levels: DefaultLevels()[:1], SimWorkers: 2}); err != nil {
-		t.Fatalf("single-level sharded config rejected: %v", err)
-	}
 }
 
-func typeName(v any) string {
-	switch v.(type) {
-	case *Hierarchy:
-		return "*memsim.Hierarchy"
-	case *ShardedHierarchy:
-		return "*memsim.ShardedHierarchy"
+// threeLevels is a small validated geometry: 8, 16 and 32 sets.
+func threeLevels() []CacheConfig {
+	return []CacheConfig{
+		{Name: "L1", SizeBytes: 1 << 10, LineBytes: 64, Ways: 2},  // 8 sets
+		{Name: "L2", SizeBytes: 4 << 10, LineBytes: 64, Ways: 4},  // 16 sets
+		{Name: "L3", SizeBytes: 16 << 10, LineBytes: 64, Ways: 8}, // 32 sets
 	}
-	return "?"
 }
 
 func TestParseGeometryPaper(t *testing.T) {

@@ -3,6 +3,7 @@ package memsim
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -67,4 +68,20 @@ func FuzzParseGeometry(f *testing.F) {
 			t.Fatalf("ParseGeometry(%q) round-trips through %q to different configs", s, out)
 		}
 	})
+}
+
+// TestParseGeometryAllocatesNoLevels: ParseGeometry validates a geometry
+// without building it, so a huge one costs no more to parse than a small
+// one (1G/64:8 is 16M lines, 128 MiB of tags if its levels were built). Not
+// parallel: it reads the process-wide allocation counter.
+func TestParseGeometryAllocatesNoLevels(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ParseGeometry("1G/64:8"); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("ParseGeometry(%q) allocated %d bytes, want under 1 MiB", "1G/64:8", got)
+	}
 }

@@ -22,10 +22,8 @@ import (
 // workers sharing one cache — the honest analogue of hardware threads on a
 // shared LLC, where the interleaving is likewise timing-dependent.
 //
-// A Stream fronts any Simulator. Over the sequential Hierarchy the consume
-// path runs the LRU walk inline under the stream lock; over a
-// ShardedHierarchy the consume path only routes — the walk happens on the
-// shard workers, so trace production and simulation pipeline.
+// A Stream fronts one Simulator: the consume path runs the LRU walk inline
+// under the stream lock, one full batch at a time.
 
 // DefaultBatch is the default Sink capacity in addresses (32 KiB per sink).
 const DefaultBatch = 4096

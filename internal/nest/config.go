@@ -66,23 +66,12 @@ type RunConfig struct {
 	// it to route each worker's node accesses into that worker's TraceSink.
 	WrapWork func(worker int, work func(o, i tree.NodeID)) func(o, i tree.NodeID)
 
-	// SimWorkers sizes the trace-driven cache simulation attached to the
-	// run, when there is one (a WrapWork hook feeding a memsim Stream):
-	// <= 1 keeps the sequential simulator, > 1 asks the harness for a
-	// set-partitioned parallel simulator with that many shard workers
-	// (memsim.Config.SimWorkers; stats stay bit-identical either way —
-	// DESIGN.md §4.8). The executor itself does not simulate; it carries
-	// the dimension with the run and reports it as "nest.simworkers" so a
-	// run's telemetry pins the simulation configuration it was measured
-	// under.
-	SimWorkers int
-
 	// Layout names the arena layout (internal/layout) the run's traced
-	// addresses are generated under. Like SimWorkers it is a carried
-	// dimension: the executor never touches addresses — the harness applies
-	// the layout when it builds the trace (workloads.Instance.WithLayout) —
-	// but a run's telemetry must pin the layout it was measured under, so
-	// the dimension travels with the run and is reported as
+	// addresses are generated under. It is a carried dimension: the
+	// executor never touches addresses — the harness applies the layout
+	// when it builds the trace (workloads.Instance.WithLayout) — but a
+	// run's telemetry must pin the layout it was measured under, so the
+	// dimension travels with the run and is reported as
 	// "nest.layout.<name>". Empty means the legacy build-order arena.
 	Layout string
 
@@ -154,9 +143,6 @@ func (e *Exec) RunWith(cfg RunConfig) (RunResult, error) {
 		cfg.Recorder.Count("nest.steals", res.Steals)
 		cfg.Recorder.Count("nest.workers", int64(res.Workers))
 		cfg.Recorder.Count("nest.engine.ops", res.EngineOps)
-		if cfg.SimWorkers > 0 {
-			cfg.Recorder.Count("nest.simworkers", int64(cfg.SimWorkers))
-		}
 		if cfg.Layout != "" {
 			cfg.Recorder.Count("nest.layout."+cfg.Layout, 1)
 		}

@@ -153,8 +153,7 @@ func (s *RunSpec) exec(ctx context.Context, rec obs.Recorder) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim := memsim.MustNew(memsim.Config{Levels: levels, SimWorkers: s.SimWorkers})
-	defer sim.Close()
+	sim := memsim.MustNew(memsim.Config{Levels: levels})
 	st, engOps, _, err := lin.RunSteady(ctx, v, sim, configure)
 	if err != nil {
 		return nil, err

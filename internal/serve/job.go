@@ -62,11 +62,16 @@ const (
 const (
 	// MaxScale bounds the suite scale of run and misscurve jobs.
 	MaxScale = 1 << 17
+	// MaxGeometryLines bounds the lines of a run job's simulated hierarchy,
+	// summed over its levels: 8 bytes of tag each, so one job's simulator
+	// holds at most 8 MiB. It admits DefaultGeometry (2,336 lines) and
+	// memsim.PaperLevels (332,288).
+	MaxGeometryLines = 1 << 20
 	// MaxOracleScale bounds oracle jobs, which materialize golden traces.
 	MaxOracleScale = 1 << 13
 	// MaxWorkers bounds the engine worker count a job may request.
 	MaxWorkers = 64
-	// MaxSimWorkers bounds the cache-simulation shard workers.
+	// MaxSimWorkers bounds the sim_workers label (see RunSpec.SimWorkers).
 	MaxSimWorkers = 64
 	// MaxSourceBytes bounds the template source of a transform job.
 	MaxSourceBytes = 1 << 20
@@ -152,8 +157,11 @@ type RunSpec struct {
 	// keep their pre-engine digests, and "iterative" stays a distinct
 	// request with its own digest.
 	Engine string `json:"engine,omitempty"`
-	// SimWorkers sizes the cache simulation: <= 1 sequential, > 1
-	// set-partitioned shards (stats bit-identical either way, §4.8).
+	// SimWorkers is a label that selects nothing: there is one cache
+	// simulator (DESIGN.md §4.8). Like Engine it is still normalized
+	// (<= 1 becomes 1, above MaxSimWorkers is rejected), digested and
+	// echoed, so every digest and result byte is what it was when the
+	// field chose a set-partitioned simulator.
 	SimWorkers int `json:"sim_workers,omitempty"`
 	// Geometry is the simulated hierarchy in memsim.ParseGeometry form.
 	// Default DefaultGeometry.
@@ -545,7 +553,8 @@ func normalizeFlagMode(mode *string) error {
 }
 
 // normalizeGeometry canonicalizes a cache geometry ("" means
-// DefaultGeometry).
+// DefaultGeometry) and rejects one over MaxGeometryLines. ParseGeometry
+// builds nothing, so checking a huge geometry costs no memory.
 func normalizeGeometry(geometry *string) error {
 	if *geometry == "" {
 		*geometry = DefaultGeometry
@@ -554,6 +563,14 @@ func normalizeGeometry(geometry *string) error {
 	levels, err := memsim.ParseGeometry(*geometry)
 	if err != nil {
 		return fmt.Errorf("serve: %v", err)
+	}
+	lines := 0
+	for _, l := range levels {
+		n := l.SizeBytes / l.LineBytes
+		if n > MaxGeometryLines-lines { // checked before the add: no overflow
+			return fmt.Errorf("serve: geometry %q holds more than the limit of %d lines", *geometry, MaxGeometryLines)
+		}
+		lines += n
 	}
 	*geometry = memsim.FormatGeometry(levels)
 	return nil

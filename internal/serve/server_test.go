@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"twist/internal/memsim"
 	"twist/internal/obs"
 )
 
@@ -293,6 +295,33 @@ func TestValidation(t *testing.T) {
 		if got := post(c.kind, c.raw); got != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", c.name, got)
 		}
+	}
+}
+
+// TestGeometryLimit: a run geometry over MaxGeometryLines lines is refused
+// at Normalize, before any level is built — 8G/1:1 would ask for 64 GiB of
+// tags, which ends the process with a fatal error no recover contains — and
+// the daemon answers it with a 400 and goes on serving.
+func TestGeometryLimit(t *testing.T) {
+	t.Parallel()
+	for _, g := range []string{"1G/64:8", "8G/1:1"} {
+		err := (&RunSpec{Workload: "TJ", Geometry: g}).Normalize()
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(MaxGeometryLines)) {
+			t.Errorf("geometry %s: Normalize error %v, want one naming the limit %d", g, err, MaxGeometryLines)
+		}
+	}
+	for _, g := range []string{DefaultGeometry, memsim.FormatGeometry(memsim.PaperLevels())} {
+		if err := (&RunSpec{Workload: "TJ", Geometry: g}).Normalize(); err != nil {
+			t.Errorf("geometry %s: %v", g, err)
+		}
+	}
+
+	_, ts := newTestServer(t, Config{Workers: 1, Queue: 4})
+	if status, body := postJob(t, ts.URL, KindRun, RunSpec{Workload: "TJ", Geometry: "8G/1:1"}); status != http.StatusBadRequest {
+		t.Fatalf("8G/1:1: status %d: %s, want 400", status, body)
+	}
+	if status, body := postJob(t, ts.URL, KindRun, RunSpec{Workload: "TJ", Scale: 64}); status != http.StatusOK {
+		t.Fatalf("valid job after the refusal: status %d: %s, want 200", status, body)
 	}
 }
 

@@ -35,7 +35,8 @@ type suiteJob struct {
 
 // suiteGoldenJobs lists the pinned jobs in file order: per benchmark and
 // layout, four run jobs (workers 1 and 2 × flag_mode counter and sets) and
-// one misscurve job.
+// one misscurve job; then, per benchmark and layout, two run jobs (workers
+// 1 and 2) at sim_workers 2, a wire label that must not move a result byte.
 func suiteGoldenJobs() []suiteJob {
 	var jobs []suiteJob
 	for _, bench := range workloads.Names() {
@@ -51,6 +52,16 @@ func suiteGoldenJobs() []suiteJob {
 			jobs = append(jobs, suiteJob{fmt.Sprintf("misscurve/%s/%s", bench, lay), &MissCurveSpec{
 				Workload: bench, Variant: "twisted", Scale: goldenScale, Seed: goldenSeed, Layout: lay,
 			}})
+		}
+	}
+	for _, bench := range workloads.Names() {
+		for _, lay := range suiteLayouts {
+			for _, w := range []int{1, 2} {
+				jobs = append(jobs, suiteJob{fmt.Sprintf("run/%s/%s/w%d/sim2", bench, lay, w), &RunSpec{
+					Workload: bench, Variant: "twisted", Scale: goldenScale, Seed: goldenSeed,
+					Workers: w, Layout: lay, SimWorkers: 2,
+				}})
+			}
 		}
 	}
 	return jobs

@@ -105,13 +105,6 @@ func WithLayout(k LayoutKind) RunOption {
 	}
 }
 
-// WithSimWorkers pins the simulation-worker dimension of an attached
-// trace-driven cache simulation ("nest.simworkers"); like WithLayout it is
-// a carried dimension, not an executor behavior.
-func WithSimWorkers(n int) RunOption {
-	return func(o *runOptions) { o.cfg.SimWorkers = n }
-}
-
 // Run executes exec under the given options and returns the merged result.
 // With no options it is Exec.Run under the original schedule — sequential,
 // no telemetry — and each option moves exactly one axis:
@@ -176,9 +169,6 @@ func runSequential(exec *Exec, cfg nest.RunConfig) (RunResult, error) {
 		rec.Count("nest.steals", 0)
 		rec.Count("nest.workers", 1)
 		rec.Count("nest.engine.ops", res.EngineOps)
-		if cfg.SimWorkers > 0 {
-			rec.Count("nest.simworkers", int64(cfg.SimWorkers))
-		}
 		if cfg.Layout != "" {
 			rec.Count("nest.layout."+cfg.Layout, 1)
 		}

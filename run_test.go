@@ -164,7 +164,6 @@ func TestRunTelemetryAndDimensions(t *testing.T) {
 	res, err := twist.Run(twist.MustNew(spec),
 		twist.WithSchedule(twisted),
 		twist.WithLayout(twist.VEBLayout),
-		twist.WithSimWorkers(2),
 		twist.WithRecorder(rec),
 	)
 	if err != nil {
@@ -175,7 +174,6 @@ func TestRunTelemetryAndDimensions(t *testing.T) {
 		"nest.workers":    1,
 		"nest.engine.ops": res.EngineOps,
 		"nest.layout.veb": 1,
-		"nest.simworkers": 2,
 	} {
 		if got := rec.counts[key]; got != want {
 			t.Errorf("%s = %d, want %d", key, got, want)
